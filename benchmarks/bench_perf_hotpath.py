@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -65,20 +64,17 @@ def measure_load_point(
     window_ns: float = WINDOW_NS,
     seed: int = SEED,
     route_cache: bool | None = None,
-    shards: int = 0,
     fastpath: bool | None = None,
 ) -> dict:
     """One load-test point; returns wall clock, event count and rates.
 
     ``route_cache`` toggles the precomputed next-hop tables when the
     tree supports them (pre-optimization revisions ignore it), so the
-    routing layer's contribution can be isolated in-place.  ``shards``
-    >= 2 runs on the sharded scheduler backend (model outputs must be
-    byte-identical; see docs/sharding.md).  ``fastpath`` pins the
-    hot-path batching toggle (docs/hotpath.md) for the whole
-    construction + run (the toggle is captured at construction);
-    ``None`` leaves the ambient setting, and pre-fastpath revisions
-    ignore it.
+    routing layer's contribution can be isolated in-place.
+    ``fastpath`` pins the hot-path batching toggle (docs/hotpath.md)
+    for the whole construction + run (the toggle is captured at
+    construction); ``None`` leaves the ambient setting, and
+    pre-fastpath revisions ignore it.
     """
     if fastpath is not None:
         try:
@@ -90,9 +86,9 @@ def measure_load_point(
                 return measure_load_point(
                     n_cpus=n_cpus, outstanding=outstanding,
                     warmup_ns=warmup_ns, window_ns=window_ns, seed=seed,
-                    route_cache=route_cache, shards=shards,
+                    route_cache=route_cache,
                 )
-    system = GS1280System(n_cpus, shards=shards)
+    system = GS1280System(n_cpus)
     if route_cache is not None and hasattr(system.topology, "route_cache_enabled"):
         system.topology.route_cache_enabled = route_cache
     rng_factory = RngFactory(seed)
@@ -122,7 +118,6 @@ def measure_load_point(
         "warmup_ns": warmup_ns,
         "window_ns": window_ns,
         "seed": seed,
-        "shards": shards,
         "wall_s": wall_s,
         "events": events,
         "events_per_sec": events / wall_s,
@@ -178,8 +173,7 @@ def quick_smoke() -> int:
 
 
 def gate(baseline_path: str, tolerance: float, repeat: int,
-         out: str | None, shard_identity: int = 0,
-         fastpath_identity: bool = False,
+         out: str | None, fastpath_identity: bool = False,
          before_path: str | None = None) -> int:
     """Benchmark-regression gate: fail when the tree is more than
     ``tolerance`` slower than the recorded baseline.
@@ -187,15 +181,12 @@ def gate(baseline_path: str, tolerance: float, repeat: int,
     The baseline file may be a bare measurement (``--measure``) or a
     full report (``--out``); reports contribute their "after" side.
     Two checks run: the *model outputs* (completed transactions,
-    latency) must match the baseline exactly when the workload shape
-    is unchanged -- a host-independent semantic regression check --
-    and events/sec must stay within the tolerance band, which absorbs
-    host-speed differences up to the band's width.
-
-    ``shard_identity`` >= 2 additionally runs the same point on the
-    sharded backend with that many shards and fails unless its model
-    outputs are byte-identical to the single-heap side; the sharded
-    measurement (and its wall-clock ratio) is recorded in the report.
+    latency, event count) must match the baseline exactly when the
+    workload shape is unchanged -- a host-independent semantic
+    regression check -- and events/sec must stay within the tolerance
+    band, which absorbs host-speed differences up to the band's width.
+    Baselines recorded with a ``shards`` field (always 0 on the
+    single-heap side) describe the same workload.
 
     ``fastpath_identity`` additionally re-runs the point with the
     hot-path batching pass disabled (the scalar oracle path,
@@ -222,31 +213,6 @@ def gate(baseline_path: str, tolerance: float, repeat: int,
         ),
     }
     failures = []
-    if shard_identity >= 2:
-        sharded = best_of(repeat, shards=shard_identity)
-        identical = (
-            sharded["completed"] == fresh["completed"]
-            and sharded["latency_ns"] == fresh["latency_ns"]
-            and sharded["events"] == fresh["events"]
-        )
-        report["sharded"] = sharded
-        report["shard_identity"] = identical
-        report["speedup_sharded_wall"] = fresh["wall_s"] / sharded["wall_s"]
-        report["host_cpus"] = os.cpu_count()
-        # The sharded backend parallelizes across cores only on
-        # GIL-releasing builds; on a 1-core host the honest expectation
-        # is ~parity, and the identity check is the point of this leg.
-        print(f"shard identity ({shard_identity} shards): "
-              f"{'ok' if identical else 'DIVERGED'}; sharded wall "
-              f"{sharded['wall_s']:.2f}s vs single {fresh['wall_s']:.2f}s "
-              f"({report['speedup_sharded_wall']:.2f}x)")
-        if not identical:
-            failures.append(
-                f"sharded backend diverged from single-heap: completed "
-                f"{fresh['completed']} -> {sharded['completed']}, events "
-                f"{fresh['events']} -> {sharded['events']}, latency "
-                f"{fresh['latency_ns']!r} -> {sharded['latency_ns']!r}"
-            )
     if fastpath_identity:
         # Interleave the two toggle states run by run: a 1-core host
         # drifts by more than the toggle's effect size over a whole
@@ -291,21 +257,25 @@ def gate(baseline_path: str, tolerance: float, repeat: int,
               f"({before['wall_s']:.2f}s -> {fresh['wall_s']:.2f}s)")
     if out:
         Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    same_workload = all(
-        fresh[k] == baseline.get(k, fresh[k] if k == "shards" else None)
-        for k in ("n_cpus", "outstanding", "warmup_ns", "window_ns",
-                  "seed", "shards")
-    )
-    if same_workload and (
-        fresh["completed"] != baseline["completed"]
-        or fresh["latency_ns"] != baseline["latency_ns"]
-    ):
+    workload_keys = ("n_cpus", "outstanding", "warmup_ns", "window_ns",
+                     "seed")
+    same_workload = all(fresh[k] == baseline.get(k) for k in workload_keys)
+    if not same_workload:
+        print("bench gate: baseline measured a different workload; "
+              "model-output comparison skipped")
+    elif any(fresh[k] != baseline.get(k)
+             for k in ("completed", "latency_ns", "events")):
         failures.append(
             "model outputs diverged from baseline: "
-            f"completed {baseline['completed']} -> {fresh['completed']}, "
-            f"latency {baseline['latency_ns']:.4f} -> "
-            f"{fresh['latency_ns']:.4f} ns"
+            f"completed {baseline.get('completed')} -> "
+            f"{fresh['completed']}, events {baseline.get('events')} -> "
+            f"{fresh['events']}, latency {baseline.get('latency_ns')!r} "
+            f"-> {fresh['latency_ns']!r} ns"
         )
+    else:
+        print(f"bench gate: model outputs match baseline "
+              f"({fresh['completed']} completed, {fresh['events']} "
+              f"events, latency {fresh['latency_ns']:.4f} ns)")
     ratio = report["ratio_events_per_sec"]
     floor = 1.0 - tolerance
     verdict = "ok" if ratio >= floor else "REGRESSION"
@@ -343,11 +313,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="report path (default BENCH_PR1.json)")
     parser.add_argument("--repeat", type=int, default=3,
                         help="measurements per side, best-of (default 3)")
-    parser.add_argument("--shard-identity", type=int, default=0,
-                        metavar="N",
-                        help="with --gate: also run the point on the "
-                             "sharded backend with N shards and fail "
-                             "unless model outputs are byte-identical")
     parser.add_argument("--fastpath-identity", action="store_true",
                         help="with --gate: also run the point with the "
                              "hot-path batching pass disabled and fail "
@@ -384,7 +349,6 @@ def _dispatch(args) -> int:
         # unless the caller chose an output path explicitly.
         out = args.out if args.out != "BENCH_PR1.json" else None
         return gate(args.gate, args.tolerance, args.repeat, out,
-                    shard_identity=args.shard_identity,
                     fastpath_identity=args.fastpath_identity,
                     before_path=args.before)
 

@@ -39,7 +39,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.campaign.spec import canonical_json
 
-__all__ = ["CACHE_SALT", "EXECUTION_PARAMS", "ResultCache", "point_key"]
+__all__ = ["CACHE_SALT", "ResultCache", "point_key"]
 
 #: Bump when any point runner changes meaning; old entries then miss.
 CACHE_SALT = "gs1280-campaign-v1"
@@ -48,22 +48,8 @@ CACHE_SALT = "gs1280-campaign-v1"
 #: invalidates *storage*, changing the salt invalidates *results*).
 ENTRY_SCHEMA = 1
 
-#: Params that pick an execution strategy rather than a model input.
-#: A point's result is byte-identical across their values (the sharded
-#: scheduler backend proves this in the differential oracle), so they
-#: are excluded from the content key and from load-time validation --
-#: a point computed with ``shards=4`` is a valid hit for ``shards=0``
-#: and vice versa.
-EXECUTION_PARAMS = frozenset({"shards"})
-
-
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _model_params(params: Mapping[str, Any]) -> dict[str, Any]:
-    """The params that actually determine the result."""
-    return {k: v for k, v in params.items() if k not in EXECUTION_PARAMS}
 
 
 def point_key(kind: str, params: Mapping[str, Any],
@@ -71,7 +57,7 @@ def point_key(kind: str, params: Mapping[str, Any],
     """The content hash a point's result is stored under."""
     return _sha256(canonical_json(
         {"schema": ENTRY_SCHEMA, "salt": salt, "kind": kind,
-         "params": _model_params(params)}
+         "params": params}
     ))
 
 
@@ -117,8 +103,8 @@ class ResultCache:
                 entry["schema"] == ENTRY_SCHEMA
                 and entry["key"] == key
                 and entry["kind"] == kind
-                and canonical_json(_model_params(entry["params"]))
-                == canonical_json(_model_params(params))
+                and canonical_json(entry["params"])
+                == canonical_json(params)
                 and _sha256(canonical_json(entry["result"]))
                 == entry["digest"]
             )

@@ -75,17 +75,17 @@ def _system_factory(params: Mapping[str, Any]) -> Callable[[], Any]:
     """A zero-argument machine builder honouring the fabric knobs."""
     system = params["system"]
     cpus = int(params["cpus"])
+    if "shards" in params:
+        # Once an execution knob left out of the cache key; a spec
+        # still carrying it would now hash to a different key.
+        raise ValueError("'shards' is no longer a point parameter; "
+                         "drop it from the spec")
     if system == "GS1280":
         from repro.systems import GS1280System
 
         shuffle = bool(params.get("shuffle", False))
         striped = bool(params.get("striped", False))
         failed = [tuple(link) for link in params.get("failed_links", [])]
-        # Sharded scheduler backend; model outputs are byte-identical
-        # to the single heap (docs/sharding.md), so ``shards`` does NOT
-        # enter the cache key -- it is an execution strategy, not a
-        # model parameter.
-        shards = int(params.get("shards", 0))
         retry = params.get("retry")
         if retry is not None:
             from repro.coherence.retry import RetryPolicy
@@ -102,7 +102,6 @@ def _system_factory(params: Mapping[str, Any]) -> Callable[[], Any]:
                 cpus, shuffle=shuffle, striped=striped,
                 failed_links=failed or None,
                 retry=retry, fault_schedule=schedule,
-                shards=shards,
             )
 
         return build
@@ -110,7 +109,7 @@ def _system_factory(params: Mapping[str, Any]) -> Callable[[], Any]:
         from repro.systems import GS320System
 
         for knob in ("shuffle", "striped", "failed_links", "retry",
-                     "fault_schedule", "shards"):
+                     "fault_schedule"):
             if params.get(knob):
                 raise ValueError(f"{knob!r} only applies to GS1280 points")
         return lambda: GS320System(cpus)
@@ -246,6 +245,7 @@ def _run_traffic(params: Mapping[str, Any]) -> dict:
 def _run_capacity(params: Mapping[str, Any]) -> dict:
     from repro.traffic.planner import run_capacity_point
 
+    _system_factory(params)  # reject bad machine knobs before any probe
     return run_capacity_point(params)
 
 

@@ -1,7 +1,7 @@
 """The differential oracle: cross-checks between independent paths that
 claim the same answer.
 
-Three kinds of redundancy already exist in this package, and each is a
+Four kinds of redundancy already exist in this package, and each is a
 free correctness oracle:
 
 1. **Analytic vs event-driven** -- the fast-mode closed-form models and
@@ -15,17 +15,14 @@ free correctness oracle:
 3. **Observation on vs off** -- a telemetry session and a check session
    only *read* model state (they never schedule events), so results
    with them enabled must be byte-identical to results without.
-4. **Sharded vs single-heap** -- the sharded scheduler backend
-   (:class:`repro.sim.sharded.ShardedSimulator`) promises byte-identical
-   observable event order (docs/sharding.md); the oracle proves it on a
-   Figure-15 load point, with and without a mid-run fault schedule.
-5. **Fastpath on vs off** -- the hot-path batching pass
+4. **Fastpath on vs off** -- the hot-path batching pass
    (:mod:`repro.fastpath`, docs/hotpath.md) promises byte-identical
-   results and event counts with the toggle in either state, on both
-   scheduler backends; the oracle proves it on the same Figure-15 load
-   point.  This leg runs *outside* the armed check session: an attached
-   checker intentionally disables the coalesced paths (they skip its
-   per-event callback), which would make the comparison vacuous.
+   results and event counts with the toggle in either state; the
+   oracle proves it on a Figure-15 load point, with and without a
+   mid-run fault schedule.  This leg runs *outside* the armed check
+   session: an attached checker intentionally disables the coalesced
+   paths (they skip its per-event callback), which would make the
+   comparison vacuous.
 
 ``gs1280-repro oracle`` runs all of them, with the invariant checkers
 armed throughout (except the fastpath leg, see above), and exits
@@ -45,7 +42,6 @@ __all__ = [
     "fastpath_identity_rows",
     "format_oracle",
     "run_oracle",
-    "shard_identity_rows",
 ]
 
 #: Allowed |simulated/analytic - 1| per validation quantity, in percent.
@@ -124,10 +120,10 @@ def _observation_identity(fast: bool) -> list[OracleRow]:
     return rows
 
 
-def _fig15_signature(shards: int, fast: bool, with_faults: bool) -> str:
-    """One Figure-15 load point on the chosen backend, serialized to a
-    canonical JSON string: workload results plus the full machine
-    counter snapshot, so *any* observable divergence shows up."""
+def _fig15_signature(fast: bool, with_faults: bool) -> str:
+    """One Figure-15 load point, serialized to a canonical JSON
+    string: workload results plus the full machine counter snapshot,
+    so *any* observable divergence shows up."""
     from repro.coherence.retry import RetryPolicy
     from repro.faults import FaultEvent, FaultSchedule
     from repro.sim import RngFactory
@@ -147,8 +143,7 @@ def _fig15_signature(shards: int, fast: bool, with_faults: bool) -> str:
                        a=n_cpus // 2, duration_ns=200.0),
         ])
         retry = RetryPolicy()
-    system = GS1280System(n_cpus, shards=shards, retry=retry,
-                          fault_schedule=schedule)
+    system = GS1280System(n_cpus, retry=retry, fault_schedule=schedule)
     rng_factory = RngFactory(0)
     pickers = [
         make_random_remote_picker(rng_factory, cpu, n_cpus)
@@ -168,49 +163,28 @@ def _fig15_signature(shards: int, fast: bool, with_faults: bool) -> str:
     }, sort_keys=True)
 
 
-def shard_identity_rows(fast: bool, shards: int = 4) -> list[OracleRow]:
-    """The sharded-vs-single-heap byte-compare legs on their own --
-    the CI shard-identity smoke lane runs exactly these."""
-    rows = []
-    for with_faults, label in ((False, "healthy"),
-                               (True, "fault schedule")):
-        single = _fig15_signature(0, fast, with_faults)
-        sharded = _fig15_signature(shards, fast, with_faults)
-        same = single == sharded
-        rows.append(OracleRow(
-            check=f"identity: sharded == single-heap [fig15, {label}]",
-            detail=(f"{shards}-shard results + counters "
-                    f"{'byte-identical' if same else 'DIFFER'}"),
-            ok=same,
-        ))
-    return rows
-
-
-def fastpath_identity_rows(fast: bool, shards: int = 2) -> list[OracleRow]:
-    """The fastpath-on-vs-off byte-compare legs: same Figure-15 load
-    point, toggle flipped, across both scheduler backends and with a
-    mid-run fault schedule.  Must run *outside* an armed check session
-    (the checker disables the coalesced paths, making on == off hold
-    trivially rather than proving anything)."""
+def fastpath_identity_rows(fast: bool) -> list[OracleRow]:
+    """The fastpath-on-vs-off byte-compare legs: the Figure-15 load
+    point with the toggle flipped, healthy and with a mid-run fault
+    schedule.  Must run *outside* an armed check session (the checker
+    disables the coalesced paths, making on == off hold trivially
+    rather than proving anything)."""
     from repro import fastpath
 
     rows = []
-    for backend, backend_label in ((0, "single-heap"),
-                                   (shards, f"{shards}-shard")):
-        for with_faults, label in ((False, "healthy"),
-                                   (True, "fault schedule")):
-            with fastpath.disabled():
-                off = _fig15_signature(backend, fast, with_faults)
-            with fastpath.enabled():
-                on = _fig15_signature(backend, fast, with_faults)
-            same = on == off
-            rows.append(OracleRow(
-                check=(f"identity: fastpath on == off "
-                       f"[fig15, {backend_label}, {label}]"),
-                detail=(f"results + counters + event counts "
-                        f"{'byte-identical' if same else 'DIFFER'}"),
-                ok=same,
-            ))
+    for with_faults, label in ((False, "healthy"),
+                               (True, "fault schedule")):
+        with fastpath.disabled():
+            off = _fig15_signature(fast, with_faults)
+        with fastpath.enabled():
+            on = _fig15_signature(fast, with_faults)
+        same = on == off
+        rows.append(OracleRow(
+            check=f"identity: fastpath on == off [fig15, {label}]",
+            detail=(f"results + counters + event counts "
+                    f"{'byte-identical' if same else 'DIFFER'}"),
+            ok=same,
+        ))
     return rows
 
 
@@ -222,7 +196,6 @@ def run_oracle(fast: bool = True, jobs: int = 2) -> dict:
         rows = _analytic_rows(fast)
         rows.append(_jobs_identity(fast, jobs))
         rows.extend(_observation_identity(fast))
-        rows.extend(shard_identity_rows(fast))
         checks = sess.report()["total_checks"]
     rows.append(OracleRow(
         check="invariants during the oracle itself",

@@ -29,7 +29,7 @@ from repro.coherence.retry import RetryBudgetExceeded, RetryPolicy
 from repro.config import CACHE_LINE_BYTES, DATA_RESPONSE_BYTES, MachineConfig
 from repro.memory import AddressMap, NodeLocalMap, Zbox
 from repro.network import FabricBase, MessageClass, Packet
-from repro.sim.backend import SchedulerView
+from repro.sim import Simulator
 
 __all__ = ["CoherenceAgent"]
 
@@ -39,7 +39,7 @@ class CoherenceAgent:
 
     def __init__(
         self,
-        sim: SchedulerView,
+        sim: Simulator,
         node: int,
         machine: MachineConfig,
         fabric: FabricBase,

@@ -17,7 +17,7 @@ from typing import Callable
 from repro.coherence.agent import CoherenceAgent
 from repro.coherence.messages import Transaction
 from repro.config import CACHE_LINE_BYTES
-from repro.sim.backend import SchedulerView
+from repro.sim import Simulator
 
 __all__ = ["LoadGenerator", "GeneratorStats"]
 
@@ -69,7 +69,7 @@ class LoadGenerator:
 
     def __init__(
         self,
-        sim: SchedulerView,
+        sim: Simulator,
         agent: CoherenceAgent,
         pick: Callable[[], tuple[int, int | None]],
         outstanding: int = 1,

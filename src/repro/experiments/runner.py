@@ -115,36 +115,6 @@ def _run_traced(args) -> int:
     return 0
 
 
-#: Point kinds that build an event-driven GS1280 and therefore accept
-#: the ``shards`` execution knob.
-_SHARDABLE_KINDS = frozenset(
-    {"load_test", "failover", "latency_map", "latency_avg",
-     "traffic", "capacity"}
-)
-
-
-def _with_shards(spec, shards: int):
-    """Run the campaign's GS1280 event-driven sweeps on the sharded
-    scheduler backend.
-
-    ``shards`` is an execution strategy, not a model parameter: results
-    are byte-identical and the knob is excluded from the cache key, so
-    this override can never change an exported number.  Sweeps over
-    other systems/kinds (or ones already sweeping ``shards``) are left
-    alone.
-    """
-    from dataclasses import replace
-
-    sweeps = []
-    for sweep in spec.sweeps:
-        if (sweep.kind in _SHARDABLE_KINDS
-                and sweep.base.get("system") == "GS1280"
-                and "shards" not in sweep.grid):
-            sweep = replace(sweep, base={**sweep.base, "shards": shards})
-        sweeps.append(sweep)
-    return replace(spec, sweeps=tuple(sweeps))
-
-
 def _run_sweep(args) -> int:
     """``sweep``: run a campaign spec through the cached sweep engine."""
     import os
@@ -168,8 +138,6 @@ def _run_sweep(args) -> int:
             print(f"no spec file or built-in campaign {args.spec!r}; "
                   f"built-ins: {' '.join(builtin_names())}")
             return 2
-    if args.shards:
-        spec = _with_shards(spec, args.shards)
     result = run_campaign(
         spec, jobs=args.jobs, cache_dir=args.cache_dir, fresh=args.fresh,
         log=print,
@@ -208,8 +176,6 @@ def _run_capacity(args) -> int:
         "users_lo": args.users_lo, "users_hi": args.users_hi,
         "rel_tol": args.rel_tol,
     }
-    if args.shards:
-        params["shards"] = args.shards
     slo = {tc.name: tc.slo_p99_ns for tc in mix.slo_classes()}
     if not slo:
         print("mix has no SLO-bearing class; nothing to plan against")
@@ -457,7 +423,7 @@ def _run_bench(args) -> int:
         else (2000.0, 5000.0)
 
     def run_point():
-        system = GS1280System(n_cpus, shards=args.shards)
+        system = GS1280System(n_cpus)
         rng_factory = RngFactory(args.seed)
         pickers = [
             make_random_remote_picker(rng_factory, cpu, n_cpus)
@@ -570,11 +536,6 @@ def main(argv: list[str] | None = None) -> int:
                          "computed (CI cache check)")
     sweep_p.add_argument("--full", action="store_true",
                          help="full-fidelity grids for built-ins")
-    sweep_p.add_argument("--shards", type=int, default=0,
-                         help="run GS1280 event-driven points on the "
-                              "sharded scheduler backend with N shards "
-                              "(results are byte-identical; 0 = single "
-                              "heap)")
     sweep_p.add_argument("--seed", type=int, default=0,
                          help="seed forwarded to built-in campaigns")
     cap_p = sub.add_parser(
@@ -597,8 +558,6 @@ def main(argv: list[str] | None = None) -> int:
     cap_p.add_argument("--cache-dir", metavar="DIR",
                        default=".gs1280-cache",
                        help="probe cache (shared with sweep campaigns)")
-    cap_p.add_argument("--shards", type=int, default=0,
-                       help="sharded scheduler backend (byte-identical)")
     cap_p.add_argument("--json-out", metavar="PATH",
                        help="write the full plan (probe trail) as JSON")
     serve_p = sub.add_parser(
@@ -754,9 +713,6 @@ def main(argv: list[str] | None = None) -> int:
     bench_p.add_argument("--no-fastpath", action="store_true",
                          help="run with the hot-path batching pass "
                               "disabled (the scalar oracle path)")
-    bench_p.add_argument("--shards", type=int, default=0,
-                         help="run on the sharded backend with N "
-                              "shards (default: single heap)")
     bench_p.add_argument("--seed", type=int, default=0)
     chart_p = sub.add_parser("chart", help="render one figure as SVG")
     chart_p.add_argument("exp_id")

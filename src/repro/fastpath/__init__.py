@@ -1,15 +1,15 @@
-"""The fastpath toggle: hot-path batching/vectorization on or off.
+"""The fastpath toggle: hot-path batching on or off.
 
-PR 8's batching pass keeps **two** implementations of every optimized
-hot path:
+The hot-path batching pass keeps **two** implementations of every
+optimized hot path:
 
 * the *scalar reference* -- the pre-batching pure-python code, one event
   and one packet at a time.  This is the oracle: golden pins and the
   differential oracle's ``fastpath_identity`` legs are defined against
   it.
-* the *fastpath* -- zero-delay burst coalescing in the event kernels,
-  the link's express-transmit branch, and numpy-vectorized batch
-  kernels (:mod:`repro.fastpath.kernels`).
+* the *fastpath* -- zero-delay burst coalescing and the heap-only
+  tight loop in the event kernel, and the link's express-transmit
+  branch.
 
 Both produce **byte-identical model outputs** (event counts, counters,
 latencies); the toggle exists so that identity is *checkable*, not

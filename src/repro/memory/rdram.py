@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.config import MemoryConfig
-from repro.fastpath import kernels
 
 __all__ = ["RdramArray"]
 
@@ -49,38 +48,6 @@ class RdramArray:
             pages.popitem(last=False)
         pages[page] = None
         return self._miss_ns
-
-    def burst_latencies(self, addresses: list[int]) -> list[float]:
-        """Latencies of a batch of accesses, exactly as if
-        :meth:`access_latency_ns` ran once per address in order.
-
-        The elementwise page-id math vectorizes
-        (:func:`kernels.rdram_page_ids`); the LRU recurrence -- element
-        *i*'s hit/miss depends on the page state *i-1* left behind --
-        stays the same left-to-right loop (docs/hotpath.md).
-        """
-        page_ids = kernels.rdram_page_ids(addresses, self._page_bytes)
-        pages = self._open_pages
-        open_ns = self._open_ns
-        miss_ns = self._miss_ns
-        max_open = self._max_open
-        out: list[float] = []
-        append = out.append
-        hits = misses = 0
-        for page in page_ids:
-            if page in pages:
-                pages.move_to_end(page)
-                hits += 1
-                append(open_ns)
-                continue
-            misses += 1
-            if len(pages) >= max_open:
-                pages.popitem(last=False)
-            pages[page] = None
-            append(miss_ns)
-        self.hits += hits
-        self.misses += misses
-        return out
 
     @property
     def open_page_count(self) -> int:

@@ -23,9 +23,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.config import MemoryConfig
-from repro.fastpath import kernels
 from repro.memory.rdram import RdramArray
-from repro.sim.backend import SchedulerView
+from repro.sim import Simulator
 
 __all__ = ["Zbox"]
 
@@ -55,7 +54,7 @@ class Zbox:
         "accesses_total",
     )
 
-    def __init__(self, sim: SchedulerView, node: int, config: MemoryConfig,
+    def __init__(self, sim: Simulator, node: int, config: MemoryConfig,
                  n_controllers: int = 2) -> None:
         if n_controllers < 1:
             raise ValueError("need at least one controller")
@@ -216,53 +215,6 @@ class Zbox:
             self.sim.post(start - now + slot_ns, on_complete)
         else:
             self.sim.post(start - now + latency + extra_ns, on_complete)
-
-    def access_burst(
-        self,
-        requests: list[tuple[int, int, Callable[[], None], bool]],
-    ) -> None:
-        """Service a same-timestamp batch of accesses, exactly as if
-        :meth:`access` had been called once per request in list order.
-
-        ``requests`` holds ``(address, size_bytes, on_complete, write)``
-        tuples.  The batch path vectorizes the *elementwise* service
-        math (bus-slot widths via :func:`kernels.zbox_slot_ns`) and
-        keeps the stateful parts -- per-controller bus occupancy
-        chaining, RDRAM page LRU, completion scheduling -- in the same
-        left-to-right order the scalar calls would run, so outputs are
-        byte-identical (docs/hotpath.md; proven by the property and
-        identity suites).  Anything the batch math does not cover
-        (degraded channels, multi-line blocks, attached telemetry or
-        checker) falls back to the scalar loop.
-        """
-        if (self._degraded or self._trace is not None
-                or self._check is not None
-                or any(size > 64 for _a, size, _cb, _w in requests)):
-            for address, size, on_complete, write in requests:
-                self.access(address, size, on_complete, write=write)
-            return
-        sim = self.sim
-        now = sim.now
-        n_ctrl = self.n_controllers
-        bus = self._bus_free_at
-        slots = kernels.zbox_slot_ns(
-            [size for _a, size, _cb, _w in requests], self._ctrl_rate
-        )
-        for (address, size, on_complete, write), slot_ns in zip(
-            requests, slots
-        ):
-            ctrl = (address // 64) % n_ctrl
-            free = bus[ctrl]
-            start = now if now > free else free
-            bus[ctrl] = start + slot_ns
-            self.busy_ns_total += slot_ns
-            self.bytes_total += size
-            self.accesses_total += 1
-            latency = self.rdrams[ctrl].access_latency_ns(address)
-            if write:
-                sim.post(start - now + slot_ns, on_complete)
-            else:
-                sim.post(start - now + latency, on_complete)
 
     def backlog_ns(self) -> float:
         return max(0.0, min(self._bus_free_at) - self.sim.now)

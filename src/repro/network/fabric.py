@@ -114,13 +114,9 @@ class TorusFabric(FabricBase):
         self.topology = topology
         self.config = config
         self.policy = policy or RoutingPolicy(adaptive=True)
-        # Per-node scheduling views: the backend routes each node's
-        # events to its shard (the single-heap backend returns itself,
-        # so that path is unchanged).
-        views = [sim.view_for(node) for node in range(topology.n_nodes)]
         self.routers: list[Router] = [
             Router(
-                views[node],
+                sim,
                 node,
                 topology,
                 config.router,
@@ -135,10 +131,10 @@ class TorusFabric(FabricBase):
         priority = getattr(config, "vc_class_priority", True)
         for a, b, cls, shuffle in topology.edges():
             wire = config.wire_ns[cls]
-            fwd = Link(views[a], a, b, config.link_bw_gbps, wire, cls, shuffle,
-                       class_priority=priority, dst_sim=views[b])
-            rev = Link(views[b], b, a, config.link_bw_gbps, wire, cls, shuffle,
-                       class_priority=priority, dst_sim=views[a])
+            fwd = Link(sim, a, b, config.link_bw_gbps, wire, cls, shuffle,
+                       class_priority=priority)
+            rev = Link(sim, b, a, config.link_bw_gbps, wire, cls, shuffle,
+                       class_priority=priority)
             fwd._on_drop = rev._on_drop = self.packet_dropped
             self.routers[a].attach_link(fwd, self.routers[b].receive)
             self.routers[b].attach_link(rev, self.routers[a].receive)

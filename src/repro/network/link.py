@@ -23,7 +23,7 @@ from typing import Callable
 
 from repro import fastpath
 from repro.network.packet import MessageClass, Packet
-from repro.sim.backend import SchedulerView
+from repro.sim import Simulator
 
 __all__ = ["Link", "DRAIN_ORDER"]
 
@@ -41,7 +41,6 @@ class Link:
 
     __slots__ = (
         "sim",
-        "dst_sim",
         "src",
         "dst",
         "bandwidth_gbps",
@@ -58,7 +57,6 @@ class Link:
         "_priority_streak",
         "_fast",
         "_post",
-        "_dst_post",
         "_wire_free_cb",
         "_trace",
         "_stall_counters",
@@ -74,7 +72,7 @@ class Link:
 
     def __init__(
         self,
-        sim: SchedulerView,
+        sim: Simulator,
         src: int,
         dst: int,
         bandwidth_gbps: float,
@@ -82,18 +80,10 @@ class Link:
         link_class: str,
         is_shuffle: bool = False,
         class_priority: bool = True,
-        dst_sim: SchedulerView | None = None,
     ) -> None:
         if bandwidth_gbps <= 0:
             raise ValueError("link bandwidth must be positive")
         self.sim = sim
-        # Where the head-arrival callback is scheduled.  On the
-        # single-heap backend this is the same simulator; on the sharded
-        # backend it is the *destination* node's view -- a link is the
-        # one model element whose events cross a shard boundary, and
-        # ``head_delay >= wire_ns >= lookahead`` is what makes that
-        # crossing safe (docs/sharding.md).
-        self.dst_sim = dst_sim if dst_sim is not None else sim
         self.src = src
         self.dst = dst
         self.bandwidth_gbps = bandwidth_gbps
@@ -120,7 +110,6 @@ class Link:
         # Prebound so the per-packet calls skip descriptor lookup and
         # bound-method creation.
         self._post = sim.post
-        self._dst_post = self.dst_sim.post
         self._wire_free_cb = self._wire_free
         # Telemetry: both stay None/absent on disabled runs so the
         # submit path pays one is-None check, nothing more.
@@ -187,7 +176,7 @@ class Link:
                 ser_ns if not packet.serialized else 0.0
             )
             packet.serialized = True
-            self._dst_post(head_delay, on_arrival, packet)
+            self._post(head_delay, on_arrival, packet)
             self._post(ser_ns, self._wire_free_cb)
             return
         self._queues[packet.msg_class].append((self._seq, packet, on_arrival))
@@ -273,7 +262,7 @@ class Link:
         # post(), not schedule(): neither event is ever cancelled, so
         # the fire-and-forget representation (no Event allocation) is
         # observably identical.
-        self._dst_post(head_delay, on_arrival, packet)
+        self._post(head_delay, on_arrival, packet)
         self._post(ser_ns, self._wire_free_cb)
 
     def _wire_free(self) -> None:

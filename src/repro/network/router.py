@@ -31,7 +31,7 @@ from repro.config import RouterConfig
 from repro.network.link import Link
 from repro.network.packet import Packet
 from repro.network.topology import Topology
-from repro.sim.backend import SchedulerView
+from repro.sim import Simulator
 
 __all__ = ["Router", "RoutingPolicy"]
 
@@ -74,7 +74,7 @@ class Router:
 
     def __init__(
         self,
-        sim: SchedulerView,
+        sim: Simulator,
         node: int,
         topology: Topology,
         config: RouterConfig,

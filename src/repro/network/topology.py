@@ -33,8 +33,6 @@ __all__ = [
     "ShuffleTopology",
     "SwitchTopology",
     "build_gs1280_topology",
-    "partition_nodes",
-    "partition_lookahead_ns",
 ]
 
 
@@ -468,69 +466,3 @@ def build_gs1280_topology(shape: TorusShape, shuffle: bool = False) -> Topology:
         return ShuffleTopology(shape)
     return TorusTopology(shape)
 
-
-# -- shard partitioning (the sharded scheduler backend) ------------------
-def partition_nodes(shape: TorusShape, n_shards: int) -> list[list[int]]:
-    """Partition a torus into ``n_shards`` contiguous column bands.
-
-    Column bands minimise the cut for the row-major GS1280 shapes (the
-    vertical MODULE/BACKPLANE links -- the cheap, plentiful ones -- stay
-    inside a shard; only horizontal band boundaries and the column
-    wraparound cross).  Bands are balanced to within one column, so
-    shard event load stays even under uniform traffic.
-    """
-    if n_shards < 2:
-        raise ValueError("sharding needs at least two shards")
-    if n_shards > shape.cols:
-        raise ValueError(
-            f"cannot cut {shape.cols} columns into {n_shards} shards "
-            f"(each shard needs at least one column)"
-        )
-    bounds = [i * shape.cols // n_shards for i in range(n_shards + 1)]
-    return [
-        [
-            geometry.node_at(shape, col, row)
-            for col in range(bounds[i], bounds[i + 1])
-            for row in range(shape.rows)
-        ]
-        for i in range(n_shards)
-    ]
-
-
-def partition_lookahead_ns(
-    topology: Topology,
-    partitions: list[list[int]],
-    wire_ns: dict[str, float],
-) -> float:
-    """Conservative lookahead for a partitioning: the minimum wire
-    latency of any link whose endpoints sit in different shards.
-
-    No shard can influence another sooner than one cross-shard wire
-    delay, so shards may run ``lookahead`` ahead of each other without
-    any risk of a causality miss (the classic conservative-window
-    bound).  Links currently failed are included -- a mid-run repair
-    may put them back, and the lookahead must stay conservative across
-    every fault schedule.
-    """
-    shard_of: dict[int, int] = {}
-    for index, part in enumerate(partitions):
-        for node in part:
-            shard_of[node] = index
-    cross = [
-        wire_ns[cls]
-        for a, b, cls, _sh in topology.edges()
-        if shard_of[a] != shard_of[b]
-    ]
-    cross += [
-        wire_ns[cls]
-        for a, b, cls, _sh, _ia, _ib in topology._failed
-        if shard_of[a] != shard_of[b]
-    ]
-    if not cross:
-        raise ValueError("partitioning has no cross-shard links")
-    lookahead = min(cross)
-    if lookahead <= 0.0:
-        raise ValueError(
-            f"cross-shard wire latency {lookahead!r} leaves no lookahead"
-        )
-    return lookahead

@@ -19,7 +19,6 @@ __all__ = [
     "ParallelWorkerError",
     "WorkerSupervisor",
     "parallel_map",
-    "shard_worker_pool",
 ]
 
 T = TypeVar("T")
@@ -160,60 +159,16 @@ def parallel_map(
     return results
 
 
-class ShardWorkerPool:
-    """Reusable thread fan-out for the sharded simulator's windows.
-
-    Threads, not processes: shard queues share the model object graph,
-    so they cannot cross a pickle boundary.  Under CPython's GIL this
-    buys nothing on pure-Python windows -- it exists so multi-core
-    hosts running GIL-releasing builds have the fan-out seam, and the
-    sharded backend keeps ``executor="serial"`` as its deterministic
-    default (see docs/sharding.md).
-    """
-
-    def __init__(self, jobs: int) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._pool = ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="shard"
-        )
-
-    def run(self, tasks: Sequence[tuple[Callable[..., Any], tuple]]) -> None:
-        """Run every ``(fn, args)`` task; propagates the first failure
-        after all tasks have settled (a half-run window must not leave
-        sibling shards mid-flight)."""
-        futures = [self._pool.submit(fn, *args) for fn, args in tasks]
-        failure: BaseException | None = None
-        for future in futures:
-            exc = future.exception()
-            if exc is not None and failure is None:
-                failure = exc
-        if failure is not None:
-            raise failure
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def shard_worker_pool(jobs: int) -> ShardWorkerPool | None:
-    """Build a :class:`ShardWorkerPool`, or ``None`` where the platform
-    refuses threads (the sharded backend then degrades serially)."""
-    try:
-        return ShardWorkerPool(jobs)
-    except (OSError, RuntimeError, ImportError):
-        return None
-
-
 class WorkerSupervisor:
     """Long-lived child *processes* run from an argv factory.
 
-    The third fan-out shape next to :func:`parallel_map` (short-lived
-    pure tasks) and :class:`ShardWorkerPool` (shared-memory threads):
-    independent sibling processes that coordinate through external
-    state -- the service's SQLite-backed worker pool.  The supervisor
-    only spawns, counts, terminates and reaps; everything the children
-    *do* is their own business, which is what keeps a ``kill -9`` of a
-    child (or of the whole tree) a recoverable event for the caller.
+    The second fan-out shape next to :func:`parallel_map` (short-lived
+    pure tasks): independent sibling processes that coordinate through
+    external state -- the service's SQLite-backed worker pool.  The
+    supervisor only spawns, counts, terminates and reaps; everything the
+    children *do* is their own business, which is what keeps a
+    ``kill -9`` of a child (or of the whole tree) a recoverable event
+    for the caller.
     """
 
     def __init__(self, argv_for: Callable[[int], Sequence[str]]) -> None:

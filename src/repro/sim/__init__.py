@@ -1,25 +1,16 @@
 """Discrete-event simulation kernel and deterministic RNG streams.
 
-Two interchangeable scheduler backends implement
-:class:`~repro.sim.backend.SchedulerBackend`: the single-heap
-:class:`Simulator` (the reference) and the sharded
-:class:`ShardedSimulator` (per-shard heaps under conservative
-lookahead, byte-identical observable order -- see docs/sharding.md).
-Model components take the narrower :class:`SchedulerView` so they work
-unchanged on either backend.
+One single-heap :class:`Simulator` drives a whole machine; every model
+component (routers, links, Zboxes, coherence agents, load generators)
+holds it directly.
 """
 
-from repro.sim.backend import SchedulerBackend, SchedulerView
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.rng import RngFactory
-from repro.sim.sharded import ShardedSimulator
 
 __all__ = [
     "Event",
     "RngFactory",
-    "SchedulerBackend",
-    "SchedulerView",
-    "ShardedSimulator",
     "SimulationError",
     "Simulator",
 ]

@@ -36,7 +36,7 @@ Three hot-path representations keep the per-event cost down:
   time > *t* (positive delays only) and cancellations only *raise* the
   heap's head time -- see docs/hotpath.md for the full argument.  The
   per-event counters still update inside the burst, so ``pending`` /
-  ``stats()`` stay mid-run exact (PR 6's counter-exactness contract).
+  ``stats()`` stay mid-run exact.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable
 
 from repro import fastpath
-from repro.sim.backend import SchedulerBackend
 
 __all__ = ["Event", "Simulator", "SimulationError"]
 
@@ -102,8 +101,8 @@ class Event:
         return f"<Event t={self.time:.3f}ns {name} ({state})>"
 
 
-class Simulator(SchedulerBackend):
-    """The in-process single-heap scheduling backend.
+class Simulator:
+    """The single-heap event scheduler.
 
     Usage::
 
@@ -113,10 +112,6 @@ class Simulator(SchedulerBackend):
 
     Events scheduled for the same instant fire in FIFO order, which makes
     model behaviour deterministic and independent of heap tie-breaking.
-    This is the reference implementation of
-    :class:`~repro.sim.backend.SchedulerBackend`; the sharded backend
-    (:class:`~repro.sim.sharded.ShardedSimulator`) reproduces its
-    observable event order exactly.
     """
 
     __slots__ = (
@@ -450,12 +445,6 @@ class Simulator(SchedulerBackend):
             "events_scheduled": self._seq,
             "pending": self.pending,
         }
-
-    def view_for(self, node: int) -> "Simulator":
-        """Per-node scheduling handle.  The single-heap backend has one
-        global queue, so every node shares this simulator; the sharded
-        backend returns a shard-routing view instead."""
-        return self
 
     def add_reset_hook(self, hook: Callable[[], None]) -> None:
         """Register a callable run by :meth:`reset` before state clears.

@@ -31,13 +31,9 @@ class SystemBase:
     """
 
     def __init__(self, config: MachineConfig,
-                 telemetry: Telemetry | None = None,
-                 sim: Simulator | None = None) -> None:
+                 telemetry: Telemetry | None = None) -> None:
         self.config = config
-        # The scheduling backend: the single-heap kernel by default, or
-        # a pre-partitioned ShardedSimulator the subclass built from its
-        # topology (any SchedulerBackend).
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.fabric: FabricBase | None = None
         self.zboxes: list[Zbox] = []
         self.agents: list[CoherenceAgent] = []
@@ -59,12 +55,6 @@ class SystemBase:
 
     def agent(self, cpu: int) -> CoherenceAgent:
         return self.agents[cpu]
-
-    def sim_view(self, node: int):
-        """The scheduling handle node-``node`` components (and their
-        workload generators) must use; see
-        :meth:`repro.sim.backend.SchedulerBackend.view_for`."""
-        return self.sim.view_for(node)
 
     def run(self, until_ns: float | None = None,
             max_events: int | None = None) -> None:

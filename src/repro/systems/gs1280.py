@@ -13,8 +13,6 @@ from repro.config import GS1280Config, TorusShape, torus_shape_for
 from repro.faults import FaultInjector, FaultSchedule
 from repro.memory import NodeLocalMap, StripedMap, Zbox
 from repro.network import RoutingPolicy, TorusFabric, build_gs1280_topology
-from repro.network.topology import partition_lookahead_ns, partition_nodes
-from repro.sim.sharded import ShardedSimulator
 from repro.systems.base import SystemBase
 
 __all__ = ["GS1280System"]
@@ -35,8 +33,6 @@ class GS1280System(SystemBase):
         failed_links: list[tuple[int, int]] | None = None,
         retry: RetryPolicy | None = None,
         fault_schedule: FaultSchedule | None = None,
-        shards: int = 0,
-        shard_executor: str = "serial",
     ) -> None:
         config = config or GS1280Config.build(n_cpus)
         shape = shape or torus_shape_for(n_cpus)
@@ -45,39 +41,23 @@ class GS1280System(SystemBase):
                 f"shape {shape} holds {shape.n_nodes} CPUs, "
                 f"config says {config.n_cpus}"
             )
-        # The topology must exist before the scheduler: shard
-        # partitioning and the conservative lookahead derive from it.
-        topology = build_gs1280_topology(shape, shuffle=shuffle)
-        for a, b in failed_links or ():
-            topology.fail_link(a, b)
-        sim = None
-        if shards >= 2:
-            partitions = partition_nodes(shape, shards)
-            lookahead = partition_lookahead_ns(
-                topology, partitions, config.wire_ns
-            )
-            sim = ShardedSimulator(
-                partitions, lookahead, executor=shard_executor
-            )
-        elif shards < 0:
-            raise ValueError(f"shards must be >= 0, got {shards}")
-        # shards in (0, 1) means the single-heap backend.
-        super().__init__(config, sim=sim)
-        self.shards = shards if shards >= 2 else 0
+        super().__init__(config)
         self.shape = shape
-        self.topology = topology
+        self.topology = build_gs1280_topology(shape, shuffle=shuffle)
+        for a, b in failed_links or ():
+            self.topology.fail_link(a, b)
         self.policy = RoutingPolicy(
             adaptive=adaptive, max_shuffle_hops=max_shuffle_hops
         )
         self.fabric = TorusFabric(self.sim, self.topology, self.config, self.policy)
         self.zboxes = [
-            Zbox(self.sim_view(node), node, self.config.memory)
+            Zbox(self.sim, node, self.config.memory)
             for node in range(self.config.n_cpus)
         ]
         self.address_map = StripedMap(self.shape) if striped else NodeLocalMap()
         self.agents = [
             CoherenceAgent(
-                self.sim_view(node),
+                self.sim,
                 node,
                 self.config,
                 self.fabric,

@@ -13,8 +13,8 @@ p99.9 and SLO attainment, and a capacity planner
 largest load a machine sustains under its p99 SLO -- healthy or under a
 :class:`~repro.faults.FaultSchedule`.
 
-Everything here is byte-deterministic across scheduler backends, shard
-counts, and campaign ``--jobs`` widths, and every heavy computation is
+Everything here is byte-deterministic across repeated runs and
+campaign ``--jobs`` widths, and every heavy computation is
 a campaign point (``traffic`` / ``capacity``), so results are
 content-addressed-cache friendly.
 """

@@ -13,8 +13,8 @@ Specs are frozen dataclasses with JSON round-trips (the
 campaign grids and content-addressed cache keys.  Each spec builds a
 stateful *generator* bound to one seeded ``numpy`` stream; generators
 draw their randomness strictly in arrival order, so a given (seed,
-class, cpu) substream produces the identical schedule on the
-single-heap and sharded backends and at any ``--jobs`` width.
+class, cpu) substream produces the identical schedule on every run
+and at any ``--jobs`` width.
 
 Kinds:
 

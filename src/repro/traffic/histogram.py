@@ -19,11 +19,10 @@ other on the ext01 workload.
 
 Histograms **merge** exactly like telemetry counter deltas: bucket
 counts add key-wise in a deterministic order, so per-worker (or
-per-CPU, or per-shard) histograms fan back into one without any loss
-beyond the bucketing already paid at record time.  All state is plain
-ints/floats and the JSON form is canonical (sorted keys), so merged
-results are byte-identical across ``--jobs`` widths and scheduler
-backends.
+or per-CPU) histograms fan back into one without any loss beyond the
+bucketing already paid at record time.  All state is plain ints/floats
+and the JSON form is canonical (sorted keys), so merged results are
+byte-identical across ``--jobs`` widths.
 """
 
 from __future__ import annotations
@@ -159,7 +158,7 @@ class LatencyHistogram:
 
         Merge order is the iteration order, so callers passing a
         deterministic sequence (per-CPU sinks in CPU order) get a
-        byte-identical result on every backend and job count.
+        byte-identical result at every job count.
         """
         histograms = list(histograms)
         result = cls(histograms[0].buckets_per_octave if histograms else 16)

@@ -5,14 +5,12 @@ plus a user population into simulated-time transaction arrivals on a
 built system.  Structure:
 
 * One **source** per (tenant class, CPU): an arrival-process generator
-  (:mod:`repro.traffic.arrivals`) chained through the CPU's scheduler
-  view -- each arrival event injects one transaction and schedules the
-  next arrival, so the event heap never holds more than one future
+  (:mod:`repro.traffic.arrivals`) chained through the machine's
+  simulator -- each arrival event injects one transaction and schedules
+  the next arrival, so the event heap never holds more than one future
   arrival per source (idle-parking: once the next arrival would fall
   past the arrival cutoff the chain simply ends, and a
-  drain-the-queue ``run()`` terminates).  Sources schedule strictly
-  on their own CPU's view, so the sharded backend sees only local
-  schedules and its conservative lookahead is untouched.
+  drain-the-queue ``run()`` terminates).
 * One **issuer** per CPU: an admission queue modelling the EV7's
   finite outstanding-request capability.  Arrivals beyond
   ``max_outstanding`` in-flight transactions queue in (priority, FIFO)
@@ -23,10 +21,10 @@ built system.  Structure:
 Determinism: every source draws from two dedicated
 :class:`~repro.sim.RngFactory` substreams (arrival gaps and memory
 targets), keyed by (class index, cpu), and consumes them strictly in
-arrival order.  Since the scheduler backends are proven byte-identical
-in observable event order, the injection schedule, the per-class
-histograms, and every counter here are byte-identical across the
-single-heap backend, any shard count, and any ``--jobs`` width.
+arrival order.  The simulator fires simultaneous events in FIFO
+order, so the injection schedule, the per-class histograms, and every
+counter here are byte-identical across repeated runs and any
+``--jobs`` width.
 
 Measurement is windowed like the closed-loop runner: arrivals before
 ``warmup_ns`` warm the machine but are not measured; arrivals inside
@@ -39,7 +37,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from repro.sim import RngFactory
+from repro.coherence import CoherenceAgent
+from repro.sim import RngFactory, Simulator
 from repro.systems.base import SystemBase
 from repro.traffic.histogram import LatencyHistogram
 from repro.traffic.mix import TenantClass, TrafficMix
@@ -95,19 +94,19 @@ class _CpuIssuer:
     """Per-CPU admission control: a bounded set of in-flight
     transactions fed from a (priority, FIFO) arrival queue."""
 
-    __slots__ = ("injector", "view", "agent", "max_outstanding",
+    __slots__ = ("injector", "sim", "agent", "max_outstanding",
                  "outstanding", "queue", "_seq", "queued_peak")
 
-    def __init__(self, injector: "OpenLoopInjector", view, agent,
-                 max_outstanding: int) -> None:
+    def __init__(self, injector: "OpenLoopInjector", sim: Simulator,
+                 agent: CoherenceAgent, max_outstanding: int) -> None:
         self.injector = injector
-        self.view = view
+        self.sim = sim
         self.agent = agent
         self.max_outstanding = max_outstanding
         self.outstanding = 0
         # Heap of (priority, seq, source, arrival_ns, addr, home,
         # measured); seq is per-CPU monotonic, so equal priorities
-        # leave in arrival order on every backend.
+        # leave in arrival order.
         self.queue: list = []
         self._seq = 0
         self.queued_peak = 0
@@ -141,7 +140,7 @@ class _CpuIssuer:
                      measured: bool) -> None:
         self.outstanding -= 1
         if measured:
-            latency_ns = self.view.now - arrival_ns
+            latency_ns = self.sim.now - arrival_ns
             source.completed += 1
             source.histogram.record(latency_ns)
             slo = source.tenant.slo_p99_ns
@@ -160,8 +159,7 @@ class OpenLoopInjector:
     ``warmup_ns + window_ns`` and the measured window is the last
     ``window_ns`` of that.  ``capture_schedule=True`` additionally
     records every injection as ``(t_ns, class, cpu, address, home)``
-    -- the determinism property tests byte-compare these across
-    backends.
+    -- the determinism tests byte-compare these across runs.
     """
 
     def __init__(
@@ -193,8 +191,7 @@ class OpenLoopInjector:
         )
         n_cpus = system.n_cpus
         self.issuers = [
-            _CpuIssuer(self, system.sim_view(cpu), system.agent(cpu),
-                       max_outstanding)
+            _CpuIssuer(self, system.sim, system.agent(cpu), max_outstanding)
             for cpu in range(n_cpus)
         ]
         self.sources: list[_Source] = []
@@ -230,13 +227,11 @@ class OpenLoopInjector:
         for source in self.sources:
             first = source.gen.next_ns()
             if first <= self.cutoff_ns:
-                self.system.sim_view(source.cpu).schedule_at(
-                    first, self._arrival, source
-                )
+                self.system.sim.schedule_at(first, self._arrival, source)
 
     def _arrival(self, source: _Source) -> None:
-        view = self.system.sim_view(source.cpu)
-        now = view.now
+        sim = self.system.sim
+        now = sim.now
         address, home = source.pick_target(self.system.n_cpus)
         source.injected_total += 1
         measured = self.warmup_ns <= now < self.cutoff_ns
@@ -249,7 +244,7 @@ class OpenLoopInjector:
         self.issuers[source.cpu].submit(source, now, address, home, measured)
         nxt = source.gen.next_ns()
         if nxt <= self.cutoff_ns:
-            view.schedule_at(nxt, self._arrival, source)
+            sim.schedule_at(nxt, self._arrival, source)
         # else: the chain parks itself -- no perpetual arrival event
         # keeps a drain-the-queue run() from terminating.
 

@@ -189,7 +189,7 @@ def _traffic_params(params: Mapping[str, Any], users: int) -> dict[str, Any]:
         k: params[k]
         for k in ("system", "cpus", "mix", "seed", "warmup_ns",
                   "window_ns", "drain_factor", "max_outstanding",
-                  "fault_schedule", "retry", "shards")
+                  "fault_schedule", "retry")
         if k in params
     }
     keep["users"] = int(users)

@@ -8,7 +8,7 @@ drain, and assemble per-class percentiles, SLO attainment, and offered
 vs delivered rates.  The result's :meth:`~TrafficResult.to_dict` is
 JSON-safe and fully deterministic -- it is the ``traffic`` campaign
 point's payload, so its bytes must (and do) match across cold/warm
-cache, ``--jobs`` widths, and scheduler shard counts.
+cache and ``--jobs`` widths.
 """
 
 from __future__ import annotations
@@ -81,10 +81,9 @@ class TrafficResult:
     delivered_per_ns: float  # measured-window completions / window
     queued_peak: int
     #: Canonical injection schedule, only when captured (never in
-    #: to_dict(); the determinism tests byte-compare it across
-    #: backends).  Sorted by (time, cpu): the raw capture order is
-    #: backend-dependent interleaving of per-CPU chains, but each
-    #: per-CPU subsequence is identical, so this stable sort is too.
+    #: to_dict(); the determinism tests byte-compare it across runs).
+    #: Sorted by (time, cpu), so the order depends only on each
+    #: per-CPU chain, not on how simultaneous chains interleave.
     schedule: list[tuple[float, str, int, int, int]] | None = None
 
     def to_dict(self) -> dict[str, Any]:

@@ -62,7 +62,7 @@ def run_closed_loop(
         raise ValueError("need one picker per CPU")
     generators = [
         LoadGenerator(
-            system.sim_view(cpu),
+            system.sim,
             system.agent(cpu),
             pick=pickers[cpu],
             outstanding=outstanding,

@@ -80,7 +80,7 @@ def run_failover(
         raise ValueError("need at least one measurement window")
     generators = [
         LoadGenerator(
-            system.sim_view(cpu),
+            system.sim,
             system.agent(cpu),
             pick=pickers[cpu],
             outstanding=outstanding,

@@ -15,8 +15,8 @@ on these machines:
 Triad moves 2 loads + 1 store per element; with write-allocate the
 store costs a read-for-ownership plus a writeback, so the wire traffic
 per "useful" byte is the same for all kernels at this level of
-abstraction and the paper indeed reports near-identical curves for all
-four kernels.
+abstraction and the paper indeed reports near-identical curves for
+Copy, Scale, Add and Triad.
 """
 
 from __future__ import annotations

@@ -170,29 +170,25 @@ class TestCacheKey:
             '{"a":[true,null],"b":1}'
         )
 
-    def test_shards_is_an_execution_param_not_a_key_field(self):
-        """The scheduler backend cannot change a result (the oracle
-        proves byte-identity), so ``shards`` must not fragment the
-        cache: any shard count maps to the same entry."""
-        base = {"system": "GS1280", "cpus": 16, "outstanding": 4,
-                "seed": 0}
-        keys = {
-            point_key("load_test", {**base, "shards": s} if s is not None
-                      else base)
-            for s in (None, 0, 2, 4)
-        }
-        assert len(keys) == 1
+    def test_load_test_key_is_pinned(self):
+        """Existing on-disk caches stay valid only while this literal
+        key does not move: any change to key derivation must bump
+        CACHE_SALT instead of silently orphaning every entry."""
+        params = {"system": "GS1280", "cpus": 16, "outstanding": 4,
+                  "seed": 0, "warmup_ns": 3000.0, "window_ns": 8000.0}
+        assert point_key("load_test", params) == (
+            "b253316daffae8440b71eb943d21a6d1daf6010d82e6af5603e83158690983f5"
+        )
 
-    def test_cache_hit_crosses_shard_counts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        params4 = {"system": "GS1280", "cpus": 16, "outstanding": 4,
-                   "seed": 0, "shards": 4}
-        params0 = {k: v for k, v in params4.items() if k != "shards"}
-        key = cache.key("load_test", params4)
-        assert key == cache.key("load_test", params0)
-        cache.store(key, "load_test", params4, {"completed": 7}, 0.1)
-        entry = cache.load(key, "load_test", params0)
-        assert entry is not None and entry["result"] == {"completed": 7}
+    @pytest.mark.parametrize("system", ["GS1280", "GS320"])
+    def test_removed_shards_param_rejected(self, system):
+        """``shards`` once stayed out of the key; a spec still carrying
+        it must fail loudly rather than compute under a new key."""
+        params = {"system": system, "cpus": 8, "outstanding": 4,
+                  "seed": 0, "shards": 0}
+        for kind in ("load_test", "capacity"):
+            with pytest.raises(ValueError, match="shards"):
+                run_point(kind, params)
 
 
 class TestEngine:

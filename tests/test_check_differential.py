@@ -3,8 +3,6 @@ the published tolerance bands, jobs and observation identity, and the
 CLI gate."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.check.differential import (
     IDENTITY_IDS,
@@ -38,16 +36,8 @@ class TestOracle:
             assert any(f"telemetry on == off [{exp_id}]" in c
                        for c in checks)
         for label in ("healthy", "fault schedule"):
-            assert any(
-                f"sharded == single-heap [fig15, {label}]" in c
-                for c in checks
-            )
-        for backend in ("single-heap", "2-shard"):
-            for label in ("healthy", "fault schedule"):
-                assert any(
-                    f"fastpath on == off [fig15, {backend}, {label}]" in c
-                    for c in checks
-                )
+            assert any(f"fastpath on == off [fig15, {label}]" in c
+                       for c in checks)
 
     def test_invariants_armed_throughout(self, report):
         rows = [r for r in report["rows"] if "invariants" in r.check]
@@ -85,82 +75,6 @@ class TestCli:
         assert main(["oracle"]) == 0
         out = capsys.readouterr().out
         assert "oracle: all checks passed" in out
-
-
-def _backend_signature(shards, shape, seed, outstanding, schedule, retry):
-    """Everything observable from one closed-loop run: workload
-    results, event counts, fault log, and the full counter snapshot."""
-    from repro.sim import RngFactory
-    from repro.systems import GS1280System
-    from repro.workloads.closed_loop import run_closed_loop
-    from repro.workloads.loadtest import make_random_remote_picker
-
-    n = shape.n_nodes
-    system = GS1280System(n, shape=shape, shards=shards,
-                         fault_schedule=schedule, retry=retry)
-    rng_factory = RngFactory(seed)
-    pickers = [
-        make_random_remote_picker(rng_factory, cpu, n) for cpu in range(n)
-    ]
-    result = run_closed_loop(system, pickers, outstanding=outstanding,
-                             warmup_ns=500.0, window_ns=1500.0)
-    return {
-        "completed": result.completed,
-        "latency_ns": result.latency_ns,
-        "events": system.sim.events_processed,
-        "cancelled": system.sim.events_cancelled,
-        "fault_log": (system.fault_injector.log
-                      if system.fault_injector else None),
-        "counters": system.counters(),
-    }
-
-
-@pytest.mark.slow
-class TestShardedIdentityProperty:
-    """Property form of the oracle's shard-identity leg: across random
-    torus shapes, shard counts, seeds, and mid-run fault schedules, the
-    sharded backend must reproduce the single heap bit-for-bit."""
-
-    @settings(max_examples=6, deadline=None)
-    @given(data=st.data())
-    def test_sharded_equals_single_heap(self, data):
-        from repro.config import TorusShape
-        from repro.network.topology import build_gs1280_topology
-
-        shape = data.draw(st.sampled_from(
-            [TorusShape(c, r) for c, r in ((2, 2), (4, 2), (4, 4))]
-        ), label="shape")
-        shards = data.draw(
-            st.integers(2, min(4, shape.cols)), label="shards"
-        )
-        seed = data.draw(st.integers(0, 3), label="seed")
-        outstanding = data.draw(st.integers(2, 6), label="outstanding")
-        schedule = retry = None
-        if data.draw(st.booleans(), label="with_faults"):
-            from repro.coherence.retry import RetryPolicy
-            from repro.faults import FaultEvent, FaultSchedule
-
-            edges = sorted(
-                (a, b)
-                for a, b, _cls, _sh in build_gs1280_topology(shape).edges()
-            )
-            a, b = data.draw(st.sampled_from(edges), label="failed_link")
-            at = data.draw(
-                st.floats(600.0, 1400.0, allow_nan=False), label="fault_at"
-            )
-            node = data.draw(
-                st.integers(0, shape.n_nodes - 1), label="stalled_node"
-            )
-            schedule = FaultSchedule([
-                FaultEvent(at_ns=at, kind="fail_link", a=a, b=b,
-                           duration_ns=300.0),
-                FaultEvent(at_ns=at + 50.0, kind="stall_router", a=node,
-                           duration_ns=100.0),
-            ])
-            retry = RetryPolicy()
-        args = (shape, seed, outstanding, schedule, retry)
-        assert _backend_signature(shards, *args) == \
-            _backend_signature(0, *args)
 
 
 class TestToleranceBands:

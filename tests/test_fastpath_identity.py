@@ -3,10 +3,9 @@ invisible (docs/hotpath.md).
 
 Every observable -- model results, machine counters, the kernel's own
 event counters, mid-run probe samples -- must be byte-identical with
-the :mod:`repro.fastpath` toggle on and off, on both scheduler
-backends, healthy and under a mid-run fault schedule.  The heavyweight
-system-level legs also run inside ``gs1280-repro oracle`` and the CI
-fastpath-identity lane; the directed engine/link tests here pin the
+the :mod:`repro.fastpath` toggle on and off, healthy and under a
+mid-run fault schedule.  The heavyweight system-level legs also run
+inside ``gs1280-repro oracle`` and the CI fastpath-identity lane; the directed engine/link tests here pin the
 specific coalescing mechanics (zero-delay bursts, the heap-only tight
 loop and its ``until`` push-back, express transmit, counter exactness
 mid-burst) at a granularity the system legs cannot localize.
@@ -22,15 +21,14 @@ from repro.sim import Simulator
 
 
 # ---------------------------------------------------------------------------
-# system level: fig15 load point, both backends, healthy + faults
+# system level: fig15 load point, healthy + faults
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("shards", [0, 2])
 @pytest.mark.parametrize("with_faults", [False, True])
-def test_fig15_fastpath_on_equals_off(shards, with_faults):
+def test_fig15_fastpath_on_equals_off(with_faults):
     with fastpath.disabled():
-        off = _fig15_signature(shards, True, with_faults)
+        off = _fig15_signature(True, with_faults)
     with fastpath.enabled():
-        on = _fig15_signature(shards, True, with_faults)
+        on = _fig15_signature(True, with_faults)
     assert on == off
 
 

@@ -4,10 +4,9 @@ strategies.
 The capacity planner's answers are only trustworthy if a traffic point
 is a pure function of its model parameters -- the same mix, population
 and seed must produce the identical injection schedule and the
-identical merged histograms whether the run uses the single-heap
-scheduler or the sharded backend, one campaign worker or many, a cold
-cache or a warm one.  These tests drive random mixes through every
-execution strategy and byte-compare the JSON payloads.
+identical merged histograms on every repeat, with one campaign worker
+or many, a cold cache or a warm one.  These tests drive random mixes
+through every execution strategy and byte-compare the JSON payloads.
 """
 
 import json
@@ -71,12 +70,12 @@ def mix_strategy():
 
 
 @pytest.mark.slow
-class TestBackendIdentityProperty:
+class TestRepeatIdentityProperty:
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
-    def test_single_heap_vs_shards(self, data):
-        """Any mix: identical schedules and payloads on shards 0/2/4,
-        with or without a mid-run fault schedule."""
+    def test_repeat_runs_identical(self, data):
+        """Any mix: identical schedules and payloads on every run, with
+        or without a mid-run fault schedule."""
         mix = data.draw(mix_strategy(), label="mix")
         users = data.draw(st.integers(500, 8000), label="users")
         seed = data.draw(st.integers(0, 3), label="seed")
@@ -90,10 +89,9 @@ class TestBackendIdentityProperty:
             fault_schedule = FaultSchedule.link_failures(at, [(0, 1)])
             retry = RetryPolicy.from_dict(RETRY)
 
-        def payload(shards):
+        def payload():
             result = run_traffic(
-                lambda: GS1280System(8, shards=shards,
-                                     fault_schedule=fault_schedule,
+                lambda: GS1280System(8, fault_schedule=fault_schedule,
                                      retry=retry),
                 mix, users=users, seed=seed, capture_schedule=True,
                 **FAST,
@@ -101,12 +99,9 @@ class TestBackendIdentityProperty:
             return (json.dumps(result.to_dict(), sort_keys=True),
                     result.schedule)
 
-        base_bytes, base_schedule = payload(0)
+        base_bytes, base_schedule = payload()
         assert len(base_schedule) > 0
-        for shards in (2, 4):
-            sharded_bytes, sharded_schedule = payload(shards)
-            assert sharded_schedule == base_schedule
-            assert sharded_bytes == base_bytes
+        assert payload() == (base_bytes, base_schedule)
 
 
 class TestCampaignIdentity:
@@ -135,19 +130,6 @@ class TestCampaignIdentity:
         assert export_json(warm) == cold
         assert export_json(jobs4) == cold
         assert export_json(nocache) == cold
-
-    def test_shards_excluded_from_cache_key(self, tmp_path):
-        from dataclasses import replace
-
-        spec = self._spec()
-        run_campaign(spec, cache_dir=str(tmp_path))
-        sweep = spec.sweeps[0]
-        sharded = replace(
-            spec,
-            sweeps=(replace(sweep, base={**sweep.base, "shards": 2}),),
-        )
-        warm = run_campaign(sharded, cache_dir=str(tmp_path))
-        assert warm.computed == 0  # shards=2 hits the shards=0 entries
 
     def test_seed_changes_bytes(self, tmp_path):
         a = export_json(run_campaign(self._spec(seed=0)))
