@@ -1,21 +1,35 @@
 #!/usr/bin/env bash
-# CI service-smoke lane (also runnable locally): boot the service,
-# submit the same builtin campaign from two tenants over HTTP,
-# byte-compare both exports against a direct sweep, prove the shared
-# points executed once service-wide, and require a clean SIGTERM
-# drain (server exit code 0).
+# CI service lane (also runnable locally), in two phases:
+#
+#   1. Real-process CLI round trip: boot `serve`, submit the same
+#      builtin campaign from two tenants over HTTP, byte-compare both
+#      exports against a direct sweep, prove the shared points executed
+#      once service-wide with no 5xx, and require a clean SIGTERM drain
+#      (server exit code 0).
+#   2. A chaos soak: `service-soak --chaos` boots its own deployment
+#      with the aggressive seeded ChaosPolicy and admission control,
+#      floods it from three tenants, and exits non-zero unless the
+#      store shows zero lost, failed or duplicated jobs, the greedy
+#      tenant was throttled while the steady one stayed fast, a probe
+#      exported byte-identically to a direct run, service.http.5xx
+#      stayed zero and serve drained cleanly.
+#
+# Crash-resume (kill -9 of workers and server mid-campaign, restart,
+# byte-identical export) is tests/test_service_crash.py, in the tier-1
+# suite.
 #
 # Local use: SERVICE_PORT=8281 REPRO="python -m repro.experiments.runner" \
-#            bash scripts/ci_service_smoke.sh
+#            bash scripts/ci_service.sh
 set -euo pipefail
 
 REPRO=${REPRO:-gs1280-repro}
 PORT="${SERVICE_PORT:-8180}"
 URL="http://127.0.0.1:${PORT}"
-WORK="${SERVICE_WORKDIR:-.service-smoke}"
+WORK="${SERVICE_WORKDIR:-.service-ci}"
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
+# --- phase 1: CLI round trip ------------------------------------------
 $REPRO serve --db "$WORK/jobs.db" --cache-dir "$WORK/cache" \
   --results-dir "$WORK/results" --port "$PORT" --workers 2 \
   > "$WORK/serve.log" 2>&1 &
@@ -63,4 +77,13 @@ EOF
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 trap - EXIT
-echo "service-smoke: OK"
+echo "service: round trip OK"
+
+# --- phase 2: chaos soak ----------------------------------------------
+$REPRO service-soak --chaos --workdir "$WORK/soak" \
+  --duration 12 --seed 1 | tee "$WORK/soak.log"
+
+# The log must show chaos actually fired: a soak that injected nothing
+# proves nothing.
+grep -q "service.chaos.injected" "$WORK/soak.log"
+echo "service: OK"

@@ -15,8 +15,8 @@ Usage::
     gs1280-repro submit <spec.json|builtin> [--url U] [--tenant T]
                  [--wait] [--out PATH]
     gs1280-repro status [job-id] [--url U]
-    gs1280-repro service-soak [--url U] [--duration S] [--rate R]
-    gs1280-repro chaos-soak [--duration S] [--seed N] [--chaos JSON]
+    gs1280-repro service-soak [--workdir D] [--duration S] [--seed N]
+                 [--chaos [JSON]]
 
 ``--jobs N`` fans the experiments of ``all``/``export`` out over N
 worker processes.  Experiments are pure functions of their id, fidelity
@@ -38,14 +38,15 @@ moment it completes -- so an interrupted run costs nothing.
 
 ``serve`` boots the simulation-as-a-service control plane (SQLite job
 queue + HTTP/JSON API + worker process pool, see :mod:`repro.service`
-and docs/service.md); ``submit``/``status`` are its thin clients and
-``service-soak`` drives a live server with the open-arrival traffic
-generator as a self-load-test.  ``chaos-soak`` boots its own
-deployment with a seeded :class:`~repro.service.chaos.ChaosPolicy`
-armed plus per-tenant admission control and proves zero lost or
-duplicated jobs under a two-tenant flood (docs/resilience.md); the
-clients retry with capped jittered backoff and idempotency keys, so
-``submit --retries`` survives injected faults without double-enqueueing.
+and docs/service.md); ``submit``/``status`` are its thin clients.
+``service-soak`` boots its own deployment with per-tenant admission
+control, drives it with three tenants from the open-arrival traffic
+generators, and audits the SQLite store for zero lost or duplicated
+jobs; ``--chaos`` arms a seeded
+:class:`~repro.service.chaos.ChaosPolicy` on top (docs/resilience.md).
+The clients retry with capped jittered backoff and idempotency keys,
+so ``submit --retries`` survives injected faults without
+double-enqueueing.
 
 ``fuzz`` sweeps seeded random machines x workloads with the
 :mod:`repro.check` invariant checkers armed, shrinks any failure to a
@@ -302,39 +303,26 @@ def _run_status(args) -> int:
 
 
 def _run_service_soak(args) -> int:
-    """``service-soak``: the open-arrival self-load-test."""
-    from repro.service.soak import SoakConfig, run_soak
+    """``service-soak``: boot a deployment, drive it, audit the store."""
+    from repro.service.chaos import ChaosPolicy, policy_from_value
+    from repro.service.soak import LEASE_S, SoakConfig, run_soak
 
-    config = SoakConfig(
-        url=args.url, duration_s=args.duration, rate_per_s=args.rate,
-        seed=args.seed, stats_interval_s=args.stats_interval,
-        drain_grace_s=args.drain_grace,
-        stuck_claimed_s=args.stuck_claimed,
-    )
+    chaos: ChaosPolicy | None = None
+    if args.chaos is True:  # bare --chaos
+        chaos = ChaosPolicy.aggressive(seed=args.seed, lease_s=LEASE_S)
+    elif args.chaos is not None:
+        chaos = policy_from_value(args.chaos)
+    config = SoakConfig(workdir=args.workdir, duration_s=args.duration,
+                        seed=args.seed, chaos=chaos)
     sink = open(args.stats_out, "w") if args.stats_out else None
     try:
         report = run_soak(config, log=print, stats_sink=sink)
+    except FileExistsError as exc:
+        print(f"service-soak: {exc}")
+        return 2
     finally:
         if sink is not None:
             sink.close()
-    return 0 if report.ok else 1
-
-
-def _run_chaos_soak(args) -> int:
-    """``chaos-soak``: chaos-armed deployment + two-tenant campaign."""
-    from repro.service.chaos import policy_from_value
-    from repro.service.chaos_soak import ChaosSoakConfig, run_chaos_soak
-
-    config = ChaosSoakConfig(
-        workdir=args.workdir, duration_s=args.duration, seed=args.seed,
-        workers=args.workers, lease_s=args.lease,
-        chaos=(policy_from_value(args.chaos)
-               if args.chaos is not None else None),
-        greedy_rate_per_s=args.greedy_rate,
-        tenant_rate_per_s=args.tenant_rate,
-        drain_grace_s=args.drain_grace,
-    )
-    report = run_chaos_soak(config, log=print)
     return 0 if report.ok else 1
 
 
@@ -634,46 +622,22 @@ def main(argv: list[str] | None = None) -> int:
     status_p.add_argument("--retries", type=int, default=3,
                           help="max attempts per request (1 disables)")
     soak_p = sub.add_parser(
-        "service-soak", help="self-load-test a running service with "
-        "open-arrival traffic")
-    soak_p.add_argument("--url", default="http://127.0.0.1:8180")
-    soak_p.add_argument("--duration", type=float, default=60.0,
+        "service-soak", help="boot a deployment, drive it with three "
+        "tenants and prove zero lost/duplicated jobs")
+    soak_p.add_argument("--workdir", default=".gs1280-soak",
+                        help="deployment directory (db, cache, "
+                        "results); must not hold a jobs.db yet")
+    soak_p.add_argument("--duration", type=float, default=30.0,
                         help="submission window seconds")
-    soak_p.add_argument("--rate", type=float, default=5.0,
-                        help="total submissions/s across tenant classes")
-    soak_p.add_argument("--seed", type=int, default=0)
-    soak_p.add_argument("--stats-interval", type=float, default=10.0)
+    soak_p.add_argument("--seed", type=int, default=0,
+                        help="seeds the traffic and a bare --chaos")
+    soak_p.add_argument("--chaos", metavar="JSON", nargs="?", const=True,
+                        default=None,
+                        help="arm chaos: bare flag for the built-in "
+                        "aggressive policy, or ChaosPolicy JSON (inline "
+                        "or a file); off by default")
     soak_p.add_argument("--stats-out", metavar="PATH",
                         help="append /stats snapshots as JSONL")
-    soak_p.add_argument("--drain-grace", type=float, default=60.0,
-                        help="seconds to wait for stragglers after the "
-                        "window")
-    soak_p.add_argument("--stuck-claimed", type=float, default=120.0,
-                        help="a claimed job older than this at the end "
-                        "fails the soak")
-    chaos_p = sub.add_parser(
-        "chaos-soak", help="boot a chaos-armed deployment and prove "
-        "zero lost/duplicated jobs under two-tenant load")
-    chaos_p.add_argument("--workdir", default=".gs1280-chaos-soak",
-                         help="driver-owned deployment directory "
-                         "(db, cache, results)")
-    chaos_p.add_argument("--duration", type=float, default=30.0,
-                         help="submission window seconds")
-    chaos_p.add_argument("--seed", type=int, default=0,
-                         help="seeds the chaos policy AND the traffic")
-    chaos_p.add_argument("--workers", type=int, default=2)
-    chaos_p.add_argument("--lease", type=float, default=2.0,
-                         help="short claim lease so chaos stalls force "
-                         "real lease-expiry reclaims")
-    chaos_p.add_argument("--chaos", metavar="JSON", default=None,
-                         help="ChaosPolicy JSON override (default: "
-                         "the built-in aggressive policy)")
-    chaos_p.add_argument("--greedy-rate", type=float, default=12.0,
-                         help="greedy tenant's offered submissions/s")
-    chaos_p.add_argument("--tenant-rate", type=float, default=3.0,
-                         help="per-tenant admitted submissions/s")
-    chaos_p.add_argument("--drain-grace", type=float, default=90.0,
-                         help="seconds for stragglers after the window")
     fuzz_p = sub.add_parser(
         "fuzz", help="sweep random machines x workloads with invariant "
         "checkers armed")
@@ -738,8 +702,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_status(args)
     if args.command == "service-soak":
         return _run_service_soak(args)
-    if args.command == "chaos-soak":
-        return _run_chaos_soak(args)
     if args.command == "fuzz":
         return _run_fuzz(args)
     if args.command == "oracle":

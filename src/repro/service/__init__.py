@@ -27,9 +27,13 @@ simulators -- schedulable, restartable, observable:
 * :mod:`~repro.service.app` -- ``gs1280-repro serve``: store + HTTP
   server + worker pool + maintenance loop (lease reclaim, dead-worker
   respawn) with graceful SIGTERM drain.
-* :mod:`~repro.service.client` / :mod:`~repro.service.soak` -- the
-  stdlib client used by ``submit``/``status`` and the self-load-test
-  that drives a live server with the open-arrival traffic generator.
+* :mod:`~repro.service.client` -- the stdlib client used by
+  ``submit``/``status`` and the soak.
+* :mod:`~repro.service.soak` -- ``gs1280-repro service-soak``: boots
+  its own deployment, drives it with three tenants from the
+  open-arrival traffic generators (optionally under a
+  :class:`ChaosPolicy`), and audits the SQLite store for zero lost or
+  duplicated jobs.
 * :mod:`~repro.service.chaos` / :mod:`~repro.service.resilience` --
   the hardening pair (docs/resilience.md): a seeded, deterministic
   :class:`ChaosPolicy` injects service-level faults (HTTP 500s/
@@ -37,8 +41,7 @@ simulators -- schedulable, restartable, observable:
   while :class:`RetryPolicy` + ``submit_key`` idempotency on the
   client and :class:`AdmissionController` (per-tenant token buckets,
   queue-depth bounds, priority-ordered load shedding) on the server
-  absorb them; :mod:`~repro.service.chaos_soak` proves the loop
-  closed -- zero lost or duplicated jobs under aggressive chaos.
+  absorb them; ``service-soak --chaos`` proves the loop closed.
 
 Everything is stdlib-only (sqlite3, http.server, urllib); the model
 and cache layers below are untouched, which is what makes the service

@@ -214,8 +214,3 @@ def run_serve(config: ServeConfig,
     store.close()
     log("serve: stopped" + ("" if drained else " (drain timeout)"))
     return 0 if drained else 1
-
-
-def _tick_once_for_tests(store: JobStore) -> list[str]:
-    """Single maintenance reclaim tick (test hook)."""
-    return store.reclaim(check_pid=True)

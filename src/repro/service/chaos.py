@@ -144,10 +144,10 @@ class ChaosPolicy:
     # -- convenience builders -------------------------------------------
     @classmethod
     def aggressive(cls, seed: int = 0, lease_s: float = 2.0) -> "ChaosPolicy":
-        """The chaos-smoke shape: every injection family armed, rates
-        low enough that retried work still converges.  ``lease_s`` is
-        the deployment's claim lease; stalls run past it so reclaim
-        genuinely fires."""
+        """The ``service-soak --chaos`` shape: every injection family
+        armed, rates low enough that retried work still converges.
+        ``lease_s`` is the deployment's claim lease; stalls run past it
+        so reclaim genuinely fires."""
         return cls(
             seed=seed,
             http_error_rate=0.08,

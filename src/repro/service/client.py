@@ -1,6 +1,6 @@
 """Stdlib HTTP client for the service control plane.
 
-Used by ``gs1280-repro submit``/``status``, the soak drivers, and the
+Used by ``gs1280-repro submit``/``status``, the soak driver, and the
 tests; nothing here knows about simulators -- it is JSON over
 ``urllib`` with explicit timeouts and an exception type that keeps the
 HTTP status attached (the soak's fail-on-5xx gate reads it).

@@ -188,10 +188,7 @@ class ControlPlane:
         }
 
     def stats(self) -> tuple[int, dict[str, Any]]:
-        claimed_ages = [
-            time.time() - (job.started_at or job.submitted_at)
-            for job in self.store.jobs_in(("claimed",))
-        ]
+        oldest_claim = self.store.oldest_claim_ts()
         return 200, {
             "uptime_s": time.time() - self.started_at,
             "draining": self.draining.is_set(),
@@ -217,7 +214,8 @@ class ControlPlane:
             ),
             "chaos": (self.chaos.policy.to_dict()
                       if self.chaos is not None else None),
-            "oldest_claimed_s": max(claimed_ages, default=0.0),
+            "oldest_claimed_s": (0.0 if oldest_claim is None
+                                 else time.time() - oldest_claim),
         }
 
 

@@ -557,6 +557,19 @@ class JobStore:
             counts[row["state"]] = row["n"]
         return counts
 
+    def oldest_claim_ts(self) -> float | None:
+        """When the longest-held live claim was taken: the earliest,
+        over ``claimed``/``running`` jobs, of each job's latest
+        ``claimed`` event (``started_at`` survives a reclaim, so it
+        can name a previous attempt)."""
+        row = self._conn().execute(
+            "SELECT MIN(ts) AS ts FROM (SELECT MAX(e.ts) AS ts"
+            " FROM jobs j JOIN events e"
+            " ON e.job_id = j.id AND e.kind = 'claimed'"
+            " WHERE j.state IN ('claimed', 'running') GROUP BY j.id)"
+        ).fetchone()
+        return row["ts"]
+
     # -- events ----------------------------------------------------------
     @staticmethod
     def _append_event(conn: sqlite3.Connection, job_id: str, kind: str,
@@ -566,11 +579,6 @@ class JobStore:
             " (?, ?, ?, ?)",
             (job_id, time.time(), kind, json.dumps(dict(data))),
         )
-
-    def append_event(self, job_id: str, kind: str,
-                     data: Mapping[str, Any]) -> None:
-        with self._tx() as conn:
-            self._append_event(conn, job_id, kind, data)
 
     def events_since(self, job_id: str, since: int = 0,
                      limit: int = 1000) -> list[dict[str, Any]]:

@@ -1,10 +1,10 @@
 """Crash-safety of the real deployment shape: ``serve`` as a child
 process with its own worker pool, killed and restarted mid-campaign.
 
-These are the process-level twins of the CI ``service-crash-resume``
-lane: SIGKILL of workers *and* server mid-run must converge -- after a
-restart on the same database -- to an export byte-identical to a
-direct engine run, and SIGTERM must drain cleanly with exit code 0.
+This is the repo's crash-resume check: SIGKILL of workers *and*
+server mid-run must converge -- after a restart on the same database
+-- to an export byte-identical to a direct engine run, and SIGTERM
+must drain cleanly with exit code 0.
 """
 
 import os

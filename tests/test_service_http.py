@@ -9,6 +9,7 @@ point shared between concurrent tenants executes once service-wide.
 """
 
 import threading
+import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -248,3 +249,28 @@ class TestHealthAndStats:
             assert stats["cache"]["bytes"] > 0
             assert stats["uptime_s"] >= 0.0
             assert stats["oldest_claimed_s"] == 0.0
+
+    def test_oldest_claimed_counts_running_jobs(self, tmp_path):
+        """A claimed-then-running job ages from its claim: ``/stats``
+        must not report 0 while a worker holds it."""
+        with live_service(tmp_path, workers=0) as svc:
+            job_id = svc.client.submit("smoke", tenant="t")["id"]
+            assert svc.store.claim("w-held", 1, 60.0).id == job_id
+            assert svc.store.mark_running(job_id, "w-held", 8)
+            time.sleep(0.05)
+            assert svc.client.stats()["oldest_claimed_s"] > 0.0
+
+    def test_oldest_claimed_ages_from_latest_claim(self, tmp_path):
+        """After a lease-expiry reclaim and a fresh claim, the age
+        counts from the new claim, not the submission or the previous
+        attempt's start (which ``reclaim`` leaves in ``started_at``)."""
+        with live_service(tmp_path, workers=0) as svc:
+            job_id = svc.client.submit("smoke", tenant="t")["id"]
+            assert svc.store.claim("w-old", 1, 0.05).id == job_id
+            assert svc.store.mark_running(job_id, "w-old", 8)
+            time.sleep(0.5)
+            assert svc.store.reclaim(check_pid=False) == [job_id]
+            reclaimed_at = time.time()
+            assert svc.store.claim("w-new", 1, 60.0).id == job_id
+            oldest = svc.client.stats()["oldest_claimed_s"]
+            assert 0.0 < oldest <= time.time() - reclaimed_at

@@ -229,10 +229,10 @@ class TestEventsAndStats:
         job_id = store.submit("a", SPEC)
         first = store.events_since(job_id)
         assert [e["kind"] for e in first] == ["submitted"]
-        store.append_event(job_id, "custom", {"n": 1})
+        store.claim("w0", 1, 5.0)
         later = store.events_since(job_id, since=first[-1]["seq"])
-        assert [e["kind"] for e in later] == ["custom"]
-        assert later[0]["data"] == {"n": 1}
+        assert [e["kind"] for e in later] == ["claimed"]
+        assert later[0]["data"] == {"worker": "w0", "pid": 1}
 
     def test_point_events_carry_progress_and_telemetry(self, store):
         job_id = store.submit("a", SPEC)
