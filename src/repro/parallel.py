@@ -169,10 +169,16 @@ class WorkerSupervisor:
     children *do* is their own business, which is what keeps a
     ``kill -9`` of a child (or of the whole tree) a recoverable event
     for the caller.
+
+    ``pass_fds`` are inherited by every child, spawned or respawned
+    (the service's wake pipe read end); every other descriptor is
+    closed in the child, as ``subprocess`` does by default.
     """
 
-    def __init__(self, argv_for: Callable[[int], Sequence[str]]) -> None:
+    def __init__(self, argv_for: Callable[[int], Sequence[str]],
+                 pass_fds: Sequence[int] = ()) -> None:
         self._argv_for = argv_for
+        self._pass_fds = tuple(pass_fds)
         self._children: list[Any] = []  # subprocess.Popen
         self._spawned = 0  # lifetime count; indices are never reused
 
@@ -190,7 +196,8 @@ class WorkerSupervisor:
         for _ in range(count):
             index = self._spawned
             self._spawned += 1
-            child = subprocess.Popen(list(self._argv_for(index)))
+            child = subprocess.Popen(list(self._argv_for(index)),
+                                     pass_fds=self._pass_fds)
             self._children.append(child)
             pids.append(child.pid)
         return pids

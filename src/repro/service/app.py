@@ -8,9 +8,14 @@ previous life whose worker is dead (this is the crash-resume path: a
 re-uses every already-cached point), spawns the worker pool as child
 processes, starts the HTTP control plane, and runs a maintenance loop:
 
-* reclaim expired/dead-worker leases every tick, live;
+* reclaim expired/dead-worker leases every tick, live, and wake the
+  idle workers when that re-queued anything;
 * (unless ``--no-respawn``) top the worker pool back up when a worker
   dies -- the soak's self-healing guarantee.
+
+Workers sleep on a wake pipe that ``serve`` owns: they inherit its
+read end, and a committed submit or a reclaim writes one byte to it
+(:func:`~repro.service.worker.wake_workers`).
 
 Shutdown is a drain: on SIGTERM/SIGINT the control plane refuses new
 submissions (503), workers get SIGTERM and finish the jobs they hold,
@@ -34,6 +39,7 @@ from repro.service.chaos import ChaosEngine, ChaosPolicy, policy_from_value
 from repro.service.resilience import AdmissionController
 from repro.service.server import ControlPlane, serve_http
 from repro.service.store import JobStore
+from repro.service.worker import wake_workers
 
 __all__ = ["ServeConfig", "run_serve"]
 
@@ -86,7 +92,7 @@ class ServeConfig:
                 or self.queue_limit is not None
                 or self.shed_inflight is not None)
 
-    def worker_argv(self, index: int) -> list[str]:
+    def worker_argv(self, index: int, wake_fd: int) -> list[str]:
         argv = [
             sys.executable, "-m", "repro.service.worker",
             "--db", self.db,
@@ -94,6 +100,7 @@ class ServeConfig:
             "--results-dir", self.results_dir,
             "--worker-id", f"worker-{index}-{os.getpid()}",
             "--lease", str(self.lease_s),
+            "--wake-fd", str(wake_fd),
         ]
         if self.cache_budget is not None:
             argv += ["--cache-budget", str(self.cache_budget)]
@@ -138,10 +145,18 @@ def run_serve(config: ServeConfig,
         log(f"serve: reclaimed {len(reclaimed)} orphaned job(s): "
             + " ".join(reclaimed))
 
-    supervisor = WorkerSupervisor(config.worker_argv)
+    # The wake pipe: every worker inherits the read end and sleeps on
+    # it; only this process writes, so a full pipe never blocks it.
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
+    supervisor = WorkerSupervisor(
+        lambda index: config.worker_argv(index, wake_fd=wake_r),
+        pass_fds=(wake_r,),
+    )
     plane = ControlPlane(store, cache, config.results_dir,
                          worker_pids=supervisor.pids,
-                         admission=admission, chaos=chaos_engine)
+                         admission=admission, chaos=chaos_engine,
+                         on_submit=lambda: wake_workers(wake_w))
     server, http_thread = serve_http(plane, config.host, config.port,
                                      verbose=config.verbose)
     host, port = server.server_address[0], server.server_address[1]
@@ -156,7 +171,10 @@ def run_serve(config: ServeConfig,
     stopping = stop if stop is not None else threading.Event()
     if install_signals:
         def _drain(signum, frame) -> None:
-            stopping.set()
+            # The handler may run inside ``stopping.wait`` while this
+            # thread holds the event's lock; ``set`` here would wait on
+            # that lock forever, so another thread sets it.
+            threading.Thread(target=stopping.set).start()
 
         signal.signal(signal.SIGTERM, _drain)
         signal.signal(signal.SIGINT, _drain)
@@ -188,6 +206,7 @@ def run_serve(config: ServeConfig,
                         f"for {stall_s:.1f}s")
         reclaimed = store.reclaim(check_pid=True)
         if reclaimed:
+            wake_workers(wake_w)
             log(f"serve: reclaimed {len(reclaimed)} job(s) from "
                 "dead/expired workers")
         if config.respawn:
@@ -203,6 +222,7 @@ def run_serve(config: ServeConfig,
     for pid, _ in stalled:  # a SIGSTOPped worker cannot see SIGTERM
         supervisor.signal_one(signal.SIGCONT, pid=pid)
     supervisor.terminate()
+    wake_workers(wake_w)  # idle workers see the SIGTERM now
     drained = supervisor.wait(config.drain_timeout_s)
     if not drained:
         log("serve: drain timed out; killing remaining workers")
@@ -211,6 +231,8 @@ def run_serve(config: ServeConfig,
     server.shutdown()
     http_thread.join(timeout=5.0)
     server.server_close()
+    os.close(wake_r)
+    os.close(wake_w)
     store.close()
     log("serve: stopped" + ("" if drained else " (drain timeout)"))
     return 0 if drained else 1

@@ -32,6 +32,10 @@ connection drops per request (``/healthz`` exempt; injected errors are
 accounted under ``service.chaos.*``, **not** ``service.http.5xx``).
 A retried ``POST /jobs`` carrying a ``submit_key`` the store has seen
 returns the existing job with 200 instead of enqueueing a duplicate.
+
+``on_submit`` is called once for every job a submit *creates*, after
+the row is committed (``serve`` uses it to wake idle workers); a
+deduped retry, a refusal or a bad spec never calls it.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ class ControlPlane:
         worker_pids: Callable[[], list[int]] = lambda: [],
         admission: AdmissionController | None = None,
         chaos: ChaosEngine | None = None,
+        on_submit: Callable[[], None] = lambda: None,
     ) -> None:
         self.store = store
         self.cache = cache
@@ -73,6 +78,7 @@ class ControlPlane:
         self.worker_pids = worker_pids
         self.admission = admission
         self.chaos = chaos
+        self.on_submit = on_submit
         self.draining = threading.Event()
         self.started_at = time.time()
 
@@ -136,6 +142,8 @@ class ControlPlane:
         job_id, created = self.store.submit_idempotent(
             tenant, spec, priority=priority, submit_key=submit_key
         )
+        if created:
+            self.on_submit()
         job = self.store.get(job_id)
         assert job is not None
         return (201 if created else 200), job.to_dict()

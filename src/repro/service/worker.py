@@ -6,7 +6,13 @@ same loop runs happily on a thread with a ``threading.Event`` as the
 stop signal.  The loop is deliberately boring:
 
 1. :meth:`JobStore.claim` the best queued job (priority, then
-   submission order) under a lease.
+   submission order) under a lease.  An idle worker sleeps in
+   ``select`` on the deployment's wake pipe: ``serve`` writes one byte
+   when a submit commits a new job or a reclaim re-queues one, so the
+   next claim starts at once.  The pipe is level-triggered, so a byte
+   written while every worker is busy is still there when one goes
+   idle.  Without a wake (no pipe, or a job that arrived without one)
+   the worker claims again after ``poll_s``.
 2. Expand its campaign spec exactly the way ``gs1280-repro sweep``
    does, then execute the points *in expansion order* through
    :func:`~repro.service.coalesce.compute_point_shared` -- cache hits
@@ -35,6 +41,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import select
 import signal
 import sys
 import threading
@@ -63,6 +70,7 @@ __all__ = [
     "resolve_campaign",
     "run_worker",
     "safe_tenant",
+    "wake_workers",
 ]
 
 _TENANT_RE = re.compile(r"[^A-Za-z0-9._-]+")
@@ -297,6 +305,42 @@ def execute_job(
     return "done"
 
 
+def wake_workers(fd: int) -> None:
+    """Make the wake pipe readable so every idle worker claims now.
+
+    ``fd`` is the non-blocking write end.  A full pipe raises
+    ``BlockingIOError``; it is ignored, because a full pipe is already
+    readable.
+    """
+    try:
+        os.write(fd, b"\0")
+    except BlockingIOError:
+        pass
+
+
+def _idle_wait(stop: threading.Event, wake_fd: int | None,
+               poll_s: float) -> int | None:
+    """Sleep until a wake, ``stop`` or ``poll_s``; returns the wake fd
+    to use next time.
+
+    A readable fd is drained without blocking (a sibling may have
+    drained it first).  End of file means every write end is closed --
+    the ``serve`` process is gone -- so the worker falls back to plain
+    polling instead of spinning on a permanently readable fd.
+    """
+    if wake_fd is None:
+        stop.wait(poll_s)
+        return None
+    readable, _, _ = select.select([wake_fd], [], [], poll_s)
+    if readable:
+        try:
+            if not os.read(wake_fd, 65536):
+                return None
+        except BlockingIOError:
+            pass
+    return wake_fd
+
+
 def run_worker(
     db: str | Path,
     cache_dir: str | Path,
@@ -309,11 +353,15 @@ def run_worker(
     inflight_lease_s: float = 600.0,
     idle_exit_s: float | None = None,
     chaos: ChaosPolicy | None = None,
+    wake_fd: int | None = None,
 ) -> int:
     """The claim/execute loop; returns the number of jobs handled.
 
     ``stop`` drains: set it and the worker exits after finishing the
-    job in hand (or immediately if idle).  ``idle_exit_s`` lets tests
+    job in hand (or, if idle, by the next wake or ``poll_s``).
+    ``wake_fd`` is the read end of the wake pipe (see
+    :func:`wake_workers`); without it the idle worker polls every
+    ``poll_s``.  ``idle_exit_s`` lets tests
     and one-shot tools run the loop to quiescence.  ``chaos`` arms
     deterministic self-inflicted faults (kill/stall/slow-claim, scoped
     to this ``worker_id``'s decision stream); never arm a policy with
@@ -326,6 +374,8 @@ def run_worker(
     cache = ResultCache(cache_dir, byte_budget=cache_budget)
     inflight = InflightRegistry(store, lease_s=inflight_lease_s)
     pid = os.getpid()
+    if wake_fd is not None:
+        os.set_blocking(wake_fd, False)
     handled = 0
     idle_since = time.monotonic()
     while not stop.is_set():
@@ -340,7 +390,7 @@ def run_worker(
             if (idle_exit_s is not None
                     and time.monotonic() - idle_since >= idle_exit_s):
                 break
-            stop.wait(poll_s)
+            wake_fd = _idle_wait(stop, wake_fd, poll_s)
             continue
         execute_job(job, store, cache, inflight, results_dir,
                     worker_id, pid, lease_s=lease_s, chaos=engine)
@@ -367,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chaos", default=None, metavar="JSON",
                         help="ChaosPolicy JSON (inline or a file path); "
                         "arms deterministic worker fault injection")
+    parser.add_argument("--wake-fd", type=int, default=None,
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     worker_id = args.worker_id or f"worker-{os.getpid()}"
@@ -383,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         args.db, args.cache_dir, args.results_dir, worker_id, stop,
         lease_s=args.lease, poll_s=args.poll,
         cache_budget=args.cache_budget, idle_exit_s=args.idle_exit,
-        chaos=chaos,
+        chaos=chaos, wake_fd=args.wake_fd,
     )
     return 0
 

@@ -2,12 +2,15 @@
 
 The server and the worker loops run on threads against one SQLite
 store, driven through :class:`repro.service.client.ServiceClient` over
-real sockets -- the same path the CLI and the CI lanes use.  The
+real sockets -- the same path the CLI and the CI lanes use.  Workers
+are woken through a wake pipe exactly as ``serve`` wires them, at the
+default poll interval.  The
 headline assertions mirror the acceptance criteria: exports fetched
 through the service are byte-identical to a direct engine run, and a
 point shared between concurrent tenants executes once service-wide.
 """
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -21,7 +24,7 @@ from repro.campaign.engine import export_csv, export_json, run_campaign
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ControlPlane, serve_http
 from repro.service.store import JobStore
-from repro.service.worker import run_worker
+from repro.service.worker import run_worker, wake_workers
 
 SMOKE_POINTS = 8  # 6 stream + 2 load_test points in the builtin
 
@@ -34,15 +37,18 @@ def live_service(tmp_path, workers=2, cache_budget=None):
     results_dir = tmp_path / "results"
     store = JobStore(db)
     cache = ResultCache(cache_dir, byte_budget=cache_budget)
-    plane = ControlPlane(store, cache, results_dir)
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
+    plane = ControlPlane(store, cache, results_dir,
+                         on_submit=lambda: wake_workers(wake_w))
     server, http_thread = serve_http(plane, port=0)
     stop = threading.Event()
     worker_threads = [
         threading.Thread(
             target=run_worker,
             args=(db, cache_dir, results_dir, f"w{i}", stop),
-            kwargs={"lease_s": 10.0, "poll_s": 0.02,
-                    "cache_budget": cache_budget},
+            kwargs={"lease_s": 10.0, "cache_budget": cache_budget,
+                    "wake_fd": wake_r},
             name=f"svc-worker-{i}",
             daemon=True,
         )
@@ -62,9 +68,11 @@ def live_service(tmp_path, workers=2, cache_budget=None):
         stop.set()
         server.shutdown()
         server.server_close()
+        os.close(wake_w)  # end of file wakes every idle worker
         for thread in worker_threads:
             thread.join(timeout=10.0)
         http_thread.join(timeout=10.0)
+        os.close(wake_r)
 
 
 class TestAcceptance:
