@@ -20,18 +20,28 @@ or run any paper experiment::
 
     from repro.experiments.registry import run_experiment
     print(run_experiment("fig13").rows)
+
+The names this package exports (the machine configs, ``Simulator``,
+``RngFactory`` and the systems) are lazy: each is imported on first
+access, so ``import repro`` alone loads none of the model.
 """
 
-from repro.config import (
-    ES45Config,
-    GS1280Config,
-    GS320Config,
-    SC45Config,
-    TorusShape,
-    torus_shape_for,
-)
-from repro.sim import RngFactory, Simulator
-from repro.systems import ES45System, GS1280System, GS320System
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.config import (
+        ES45Config,
+        GS1280Config,
+        GS320Config,
+        SC45Config,
+        TorusShape,
+        torus_shape_for,
+    )
+    from repro.sim import RngFactory, Simulator
+    from repro.systems import ES45System, GS1280System, GS320System
 
 __version__ = "1.0.0"
 
@@ -49,3 +59,36 @@ __all__ = [
     "torus_shape_for",
     "__version__",
 ]
+
+# Each exported name resolves on first access (PEP 562), so processes
+# that never simulate -- the CLI, ``serve``, the HTTP clients -- do not
+# import the model, the network or numpy just by importing ``repro``.
+_LAZY = {
+    "ES45Config": "repro.config",
+    "GS1280Config": "repro.config",
+    "GS320Config": "repro.config",
+    "SC45Config": "repro.config",
+    "TorusShape": "repro.config",
+    "torus_shape_for": "repro.config",
+    "RngFactory": "repro.sim",
+    "Simulator": "repro.sim",
+    "ES45System": "repro.systems",
+    "GS1280System": "repro.systems",
+    "GS320System": "repro.systems",
+}
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

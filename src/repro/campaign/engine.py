@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.campaign.cache import CACHE_SALT, ResultCache, point_key
-from repro.campaign.points import run_point
+from repro.campaign.points import preload_runners, run_point
 from repro.campaign.spec import CampaignSpec, canonical_json
 from repro.parallel import ParallelWorkerError, parallel_map
 
@@ -256,6 +256,8 @@ def run_campaign(
             f"({len(entries)} cached, {len(to_compute)} to compute, "
             f"jobs={jobs})"
         )
+    # Import the runners here, once, so a forked pool inherits them.
+    preload_runners(sorted({kind for _, kind, _ in to_compute}))
     try:
         computed = parallel_map(
             partial(_compute_one, cache_dir=cache_path, salt=salt),

@@ -44,9 +44,10 @@ Kinds:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+import importlib
+from typing import Any, Callable, Iterable, Mapping
 
-__all__ = ["POINT_KINDS", "point_kinds", "run_point"]
+__all__ = ["POINT_KINDS", "point_kinds", "preload_runners", "run_point"]
 
 
 def _machine_config(system: str, cpus: int):
@@ -259,6 +260,38 @@ POINT_KINDS: dict[str, Callable[[Mapping[str, Any]], dict]] = {
     "traffic": _run_traffic,
     "capacity": _run_capacity,
 }
+
+
+#: The modules each kind's runner imports when it runs (the machine
+#: factory's included).  Runners import them inside the call so that
+#: importing this module stays model-free; :func:`preload_runners`
+#: pays for them up front instead.
+RUNNER_MODULES: dict[str, tuple[str, ...]] = {
+    "stream": ("repro.config", "repro.workloads.stream"),
+    "latency_map": ("repro.systems", "repro.analysis.latency"),
+    "latency_avg": ("repro.systems", "repro.analysis.latency"),
+    "failover": ("repro.systems", "repro.sim", "repro.workloads.failover",
+                 "repro.workloads.loadtest"),
+    "load_test": ("repro.systems", "repro.workloads.loadtest"),
+    "striping": ("repro.analysis.rates", "repro.config",
+                 "repro.workloads.spec"),
+    "traffic": ("repro.systems", "repro.traffic"),
+    "capacity": ("repro.systems", "repro.traffic.planner"),
+}
+
+
+def preload_runners(kinds: Iterable[str] | None = None) -> None:
+    """Import what the runners of ``kinds`` (default: every kind) use.
+
+    A process about to compute points calls this once: a worker before
+    its first claim, a campaign before it forks its pool, so the
+    children inherit the imports instead of each repeating them.
+    Unknown kinds are skipped; :func:`run_point` reports them.
+    """
+    wanted = POINT_KINDS if kinds is None else kinds
+    for kind in wanted:
+        for module in RUNNER_MODULES.get(kind, ()):
+            importlib.import_module(module)
 
 
 def point_kinds() -> list[str]:

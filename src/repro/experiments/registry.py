@@ -1,91 +1,85 @@
-"""Registry mapping experiment ids to their run functions."""
+"""Registry mapping experiment ids to their run functions.
+
+Each id names the module holding its ``run``; the module is imported
+on first use, so listing ids (the CLI's argparse ``choices``) imports
+no experiment and none of the model behind it.
+"""
 
 from __future__ import annotations
 
+import importlib
+from collections.abc import Iterator, Mapping
 from typing import Callable
 
-from repro.experiments import (
-    ext01_tail_latency,
-    ext02_io_contention,
-    ext03_shuffle16,
-    ext04_failover,
-    ext05_capacity,
-    fig01_specfp_rate,
-    fig04_dependent_load,
-    fig05_stride_surface,
-    fig06_stream_scaling,
-    fig07_stream_1_4,
-    fig08_ipc_fp,
-    fig09_ipc_int,
-    fig10_util_fp,
-    fig11_util_int,
-    fig12_remote_latency,
-    fig13_latency_map,
-    fig14_latency_scaling,
-    fig15_load_test,
-    fig18_shuffle_loadtest,
-    fig19_fluent,
-    fig20_fluent_util,
-    fig21_nas_sp,
-    fig22_sp_util,
-    fig23_gups,
-    fig24_gups_util,
-    fig25_striping_degradation,
-    fig26_hotspot_striping,
-    fig27_xmesh_hotspot,
-    fig28_summary,
-    tab01_shuffle_model,
-)
 from repro.experiments.base import ExperimentResult
 
 __all__ = ["EXPERIMENTS", "run_experiment", "experiment_ids"]
 
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "fig01": fig01_specfp_rate.run,
-    "fig04": fig04_dependent_load.run,
-    "fig05": fig05_stride_surface.run,
-    "fig06": fig06_stream_scaling.run,
-    "fig07": fig07_stream_1_4.run,
-    "fig08": fig08_ipc_fp.run,
-    "fig09": fig09_ipc_int.run,
-    "fig10": fig10_util_fp.run,
-    "fig11": fig11_util_int.run,
-    "fig12": fig12_remote_latency.run,
-    "fig13": fig13_latency_map.run,
-    "fig14": fig14_latency_scaling.run,
-    "fig15": fig15_load_test.run,
-    "tab01": tab01_shuffle_model.run,
-    "fig18": fig18_shuffle_loadtest.run,
-    "fig19": fig19_fluent.run,
-    "fig20": fig20_fluent_util.run,
-    "fig21": fig21_nas_sp.run,
-    "fig22": fig22_sp_util.run,
-    "fig23": fig23_gups.run,
-    "fig24": fig24_gups_util.run,
-    "fig25": fig25_striping_degradation.run,
-    "fig26": fig26_hotspot_striping.run,
-    "fig27": fig27_xmesh_hotspot.run,
-    "fig28": fig28_summary.run,
+#: Experiment id -> module under :mod:`repro.experiments`, in paper order.
+EXPERIMENT_MODULES: dict[str, str] = {
+    "fig01": "fig01_specfp_rate",
+    "fig04": "fig04_dependent_load",
+    "fig05": "fig05_stride_surface",
+    "fig06": "fig06_stream_scaling",
+    "fig07": "fig07_stream_1_4",
+    "fig08": "fig08_ipc_fp",
+    "fig09": "fig09_ipc_int",
+    "fig10": "fig10_util_fp",
+    "fig11": "fig11_util_int",
+    "fig12": "fig12_remote_latency",
+    "fig13": "fig13_latency_map",
+    "fig14": "fig14_latency_scaling",
+    "fig15": "fig15_load_test",
+    "tab01": "tab01_shuffle_model",
+    "fig18": "fig18_shuffle_loadtest",
+    "fig19": "fig19_fluent",
+    "fig20": "fig20_fluent_util",
+    "fig21": "fig21_nas_sp",
+    "fig22": "fig22_sp_util",
+    "fig23": "fig23_gups",
+    "fig24": "fig24_gups_util",
+    "fig25": "fig25_striping_degradation",
+    "fig26": "fig26_hotspot_striping",
+    "fig27": "fig27_xmesh_hotspot",
+    "fig28": "fig28_summary",
     # Extensions beyond the paper (ext02 is its stated future work).
-    "ext01": ext01_tail_latency.run,
-    "ext02": ext02_io_contention.run,
-    "ext03": ext03_shuffle16.run,
-    "ext04": ext04_failover.run,
-    "ext05": ext05_capacity.run,
+    "ext01": "ext01_tail_latency",
+    "ext02": "ext02_io_contention",
+    "ext03": "ext03_shuffle16",
+    "ext04": "ext04_failover",
+    "ext05": "ext05_capacity",
 }
 
 
+class _LazyExperiments(Mapping[str, Callable[..., ExperimentResult]]):
+    """Id -> ``run``, importing an experiment's module on lookup."""
+
+    def __getitem__(self, exp_id: str) -> Callable[..., ExperimentResult]:
+        module = importlib.import_module(
+            f"repro.experiments.{EXPERIMENT_MODULES[exp_id]}"
+        )
+        return module.run
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(EXPERIMENT_MODULES)
+
+    def __len__(self) -> int:
+        return len(EXPERIMENT_MODULES)
+
+
+EXPERIMENTS: Mapping[str, Callable[..., ExperimentResult]] = _LazyExperiments()
+
+
 def experiment_ids() -> list[str]:
-    return list(EXPERIMENTS)
+    return list(EXPERIMENT_MODULES)
 
 
 def run_experiment(exp_id: str, fast: bool = True, seed: int = 0) -> ExperimentResult:
-    try:
-        runner = EXPERIMENTS[exp_id]
-    except KeyError:
+    if exp_id not in EXPERIMENT_MODULES:
         raise KeyError(
             f"unknown experiment {exp_id!r}; known: {experiment_ids()}"
-        ) from None
+        )
+    runner = EXPERIMENTS[exp_id]
     # Experiment-level counters live in the process-global registry so
     # they survive the machines built inside; parallel_map carries each
     # worker's delta of this registry back to the parent.

@@ -63,9 +63,10 @@ import sys
 import time
 from functools import partial
 
-from repro.experiments.base import format_result
+# The registry names experiments without importing them, so building
+# the parser (and ``list``, ``serve``, ``submit``, ``status``) loads no
+# model; each command imports what it runs.
 from repro.experiments.registry import experiment_ids, run_experiment
-from repro.parallel import parallel_map
 
 __all__ = ["main"]
 
@@ -83,6 +84,7 @@ def _run_traced(args) -> int:
     """``trace <exp>`` and ``run --trace-out/--counters-out``: execute
     one experiment under a live telemetry session and export."""
     from repro import telemetry
+    from repro.experiments.base import format_result
 
     if args.command == "trace":
         trace_out = args.out or f"{args.exp_id}.trace.json"
@@ -741,6 +743,9 @@ def main(argv: list[str] | None = None) -> int:
                                 seed=args.seed)
         print(result_to_json(result))
         return 0
+    from repro.experiments.base import format_result
+    from repro.parallel import parallel_map
+
     ids = [args.exp_id] if args.command == "run" else experiment_ids()
     jobs = getattr(args, "jobs", 1)
     outcomes = parallel_map(

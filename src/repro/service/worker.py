@@ -34,6 +34,12 @@ Cancellation is cooperative with point granularity: the worker checks
 
 SIGTERM drains: the current job runs to completion, then the loop
 exits instead of claiming again.
+
+The worker imports the point runners -- and with them the simulator
+-- when the loop starts, before its first claim.  ``serve`` itself
+never imports the model; a worker counts as alive for ``/healthz``
+from the moment its process exists, so this cost stays off the boot
+path and off the first job.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from repro.campaign.engine import (
     export_csv,
     export_json,
 )
+from repro.campaign.points import preload_runners
 from repro.campaign.spec import CampaignSpec, spec_from_dict
 from repro.service.chaos import ChaosEngine, ChaosPolicy, policy_from_value
 from repro.service.coalesce import InflightRegistry, compute_point_shared
@@ -376,6 +383,7 @@ def run_worker(
     pid = os.getpid()
     if wake_fd is not None:
         os.set_blocking(wake_fd, False)
+    preload_runners()
     handled = 0
     idle_since = time.monotonic()
     while not stop.is_set():

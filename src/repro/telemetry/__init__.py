@@ -17,6 +17,11 @@ shared disabled handle systems default to, chosen so the instrumented
 hot paths cost one ``is None`` check when telemetry is off.
 """
 
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
 from repro.telemetry.registry import Counter, CounterRegistry, as_tree, total
 from repro.telemetry.sampler import IntervalSampler
 from repro.telemetry.session import (
@@ -29,7 +34,9 @@ from repro.telemetry.session import (
     reset_global_registry,
     session,
 )
-from repro.telemetry.tracer import EventTracer
+
+if TYPE_CHECKING:
+    from repro.telemetry.tracer import EventTracer
 
 __all__ = [
     "Counter",
@@ -47,3 +54,17 @@ __all__ = [
     "session",
     "total",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # EventTracer imports the network package (it records packets), so
+    # it resolves on first use; counters alone stay model-free.
+    if name == "EventTracer":
+        value = importlib.import_module("repro.telemetry.tracer").EventTracer
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -28,10 +28,10 @@ import json
 from typing import TYPE_CHECKING
 
 from repro.telemetry.registry import CounterRegistry
-from repro.telemetry.tracer import EventTracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.systems.base import SystemBase
+    from repro.telemetry.tracer import EventTracer
 
 __all__ = [
     "Telemetry",
@@ -77,7 +77,13 @@ class TelemetrySession(Telemetry):
         sample_interval_ns: float = 1000.0,
         sampling: bool = True,
     ) -> None:
-        self.tracer = EventTracer(trace_capacity) if trace else None
+        # The tracer speaks in network packets; import it (and with it
+        # the network package) only for a session that traces.
+        self.tracer = None
+        if trace:
+            from repro.telemetry.tracer import EventTracer
+
+            self.tracer = EventTracer(trace_capacity)
         self.sample_interval_ns = sample_interval_ns
         self.sampling = sampling
         #: (label, system, sampler) per machine built under this session.
