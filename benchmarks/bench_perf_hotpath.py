@@ -15,8 +15,9 @@ smoke check::
     python benchmarks/bench_perf_hotpath.py --baseline /tmp/before.json \
         --out BENCH_PR1.json
 
-    # CI smoke check: asserts the route cache is active and that the
-    # parallel and serial latency maps agree exactly
+    # CI smoke check: asserts the route tables match the reference
+    # derivation and that the parallel and serial latency maps agree
+    # exactly
     python benchmarks/bench_perf_hotpath.py --quick
 
     # CI regression gate: measure, compare events/sec against the
@@ -63,14 +64,10 @@ def measure_load_point(
     warmup_ns: float = WARMUP_NS,
     window_ns: float = WINDOW_NS,
     seed: int = SEED,
-    route_cache: bool | None = None,
     fastpath: bool | None = None,
 ) -> dict:
     """One load-test point; returns wall clock, event count and rates.
 
-    ``route_cache`` toggles the precomputed next-hop tables when the
-    tree supports them (pre-optimization revisions ignore it), so the
-    routing layer's contribution can be isolated in-place.
     ``fastpath`` pins the hot-path batching toggle (docs/hotpath.md)
     for the whole construction + run (the toggle is captured at
     construction); ``None`` leaves the ambient setting, and
@@ -86,11 +83,8 @@ def measure_load_point(
                 return measure_load_point(
                     n_cpus=n_cpus, outstanding=outstanding,
                     warmup_ns=warmup_ns, window_ns=window_ns, seed=seed,
-                    route_cache=route_cache,
                 )
     system = GS1280System(n_cpus)
-    if route_cache is not None and hasattr(system.topology, "route_cache_enabled"):
-        system.topology.route_cache_enabled = route_cache
     rng_factory = RngFactory(seed)
     pickers = [
         make_random_remote_picker(rng_factory, cpu, n_cpus)
@@ -140,35 +134,34 @@ def best_of(repeat: int, **kwargs) -> dict:
 
 
 def quick_smoke() -> int:
-    """CI smoke check (fast, small machine): the route cache must be
-    active, agree with a fresh BFS derivation, and the parallel and
-    serial latency maps must agree exactly."""
+    """CI smoke check (fast, small machine): the precomputed route
+    tables must agree with the reference derivation from the BFS
+    distances, and the parallel and serial latency maps must agree
+    exactly."""
     from functools import partial
 
     from repro.analysis.latency import latency_map
-    from repro.network.topology import TorusTopology
-    from repro.config import TorusShape
 
-    system = GS1280System(16)
-    topo = system.topology
-    assert getattr(topo, "route_cache_enabled", False), (
-        "route cache is not active on GS1280 topologies"
-    )
-    ref = TorusTopology(TorusShape(4, 4))
-    ref.route_cache_enabled = False
+    topo = GS1280System(16).topology
     for src in range(topo.n_nodes):
         for dst in range(topo.n_nodes):
-            assert topo.minimal_next_hops(src, dst) == ref.minimal_next_hops(
-                src, dst
-            ), f"route cache mismatch at {src}->{dst}"
+            if src == dst:
+                continue
+            for shuffle_ok in (True, False):
+                table = list(topo.next_hops(src, dst, shuffle_ok))
+                ref = topo._minimal_next_hops_uncached(src, dst, shuffle_ok)
+                assert table == ref, (
+                    f"route table mismatch at {src}->{dst} "
+                    f"(shuffle_ok={shuffle_ok}): {table} != {ref}"
+                )
     factory = partial(GS1280System, 8)
     serial = latency_map(factory, 8, jobs=1)
     parallel = latency_map(factory, 8, jobs=4)
     assert serial == parallel, (
         f"parallel latency_map diverged from serial:\n{serial}\n{parallel}"
     )
-    print("quick smoke ok: route cache active, cache == fresh BFS on 4x4, "
-          "parallel latency_map(jobs=4) == serial")
+    print("quick smoke ok: route tables == reference BFS derivation on "
+          "4x4, parallel latency_map(jobs=4) == serial")
     return 0
 
 
@@ -371,20 +364,11 @@ def _dispatch(args) -> int:
         report["speedup_events_per_sec"] = (
             after["events_per_sec"] / before["events_per_sec"]
         )
-    else:
-        # No recorded baseline: isolate the routing layer in-place by
-        # re-running with the precomputed route tables disabled.
-        before = best_of(args.repeat, route_cache=False)
-        report["before"] = before
-        report["before"]["note"] = "same tree, route cache disabled"
-        report["speedup_wall"] = before["wall_s"] / after["wall_s"]
-        report["speedup_events_per_sec"] = (
-            after["events_per_sec"] / before["events_per_sec"]
-        )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    speedup = (f"; speedup {report['speedup_wall']:.2f}x"
+               if "speedup_wall" in report else "")
     print(f"wall {after['wall_s']:.2f}s, "
-          f"{after['events_per_sec']:,.0f} events/s; "
-          f"speedup {report.get('speedup_wall', float('nan')):.2f}x "
+          f"{after['events_per_sec']:,.0f} events/s{speedup} "
           f"-> {args.out}")
     return 0
 

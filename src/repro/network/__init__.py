@@ -1,4 +1,4 @@
-"""Interconnect models: torus/shuffle/switch topologies, links with
+"""Interconnect models: torus/shuffle topologies, links with
 per-class virtual channels, EV7-style adaptive routers, and whole-machine
 fabrics."""
 
@@ -8,7 +8,6 @@ from repro.network.packet import PACKET_BYTES, MessageClass, Packet
 from repro.network.router import Router, RoutingPolicy
 from repro.network.topology import (
     ShuffleTopology,
-    SwitchTopology,
     Topology,
     TorusTopology,
     build_gs1280_topology,
@@ -25,7 +24,6 @@ __all__ = [
     "RoutingPolicy",
     "ShuffleTopology",
     "SwitchFabric",
-    "SwitchTopology",
     "Topology",
     "TorusFabric",
     "TorusTopology",

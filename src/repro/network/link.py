@@ -18,7 +18,6 @@ differences them over sampling windows.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from repro import fastpath
@@ -94,9 +93,12 @@ class Link:
         # FIFO -- the ablation knob showing why the 21364 splits them.
         self.class_priority = class_priority
         # Indexed by MessageClass value (small ints): a list beats a dict
-        # on the per-packet enqueue/drain path.
-        self._queues: list[deque] = [deque() for _ in range(len(DRAIN_ORDER))]
-        # The same deques in drain order: _pick_next walks this tuple
+        # on the per-packet enqueue/drain path.  Each VC queue is a plain
+        # list: it holds a few packets, so pop(0) is cheap, and an empty
+        # list costs 56 bytes where a deque pre-allocates a 64-slot block
+        # (most of a 64P machine's memory once route tables are shared).
+        self._queues: list[list] = [[] for _ in range(len(DRAIN_ORDER))]
+        # The same lists in drain order: _pick_next walks this tuple
         # directly instead of indexing _queues per class per call.
         self._qorder = tuple(self._queues[cls] for cls in DRAIN_ORDER)
         self._queued_bytes = 0
@@ -159,7 +161,7 @@ class Link:
             # so enqueue + _pick_next would trivially pop this packet
             # right back.  Replicate that composition field-by-field
             # (docs/hotpath.md walks the identity proof) without
-            # touching the VC deques.  Disabled whenever telemetry or a
+            # touching the VC queues.  Disabled whenever telemetry or a
             # checker wants per-packet visibility, or under the FIFO
             # ablation (class_priority=False, whose picker differs).
             self._seq += 1
@@ -208,7 +210,7 @@ class Link:
             if queue and (best_cls is None or
                           queue[0][0] < self._queues[best_cls][0][0]):
                 best_cls = cls
-        return self._queues[best_cls].popleft() if best_cls is not None else None
+        return self._queues[best_cls].pop(0) if best_cls is not None else None
 
     def _pick_next(self):
         if not self.class_priority:
@@ -233,7 +235,7 @@ class Link:
                 self._priority_streak = 0
                 return self._pick_fifo(DRAIN_ORDER[rank + 1:])
             self._priority_streak = self._priority_streak + 1 if lower_waiting else 0
-            return queue.popleft()
+            return queue.pop(0)
         return None
 
     def _start_next(self) -> None:
@@ -270,7 +272,7 @@ class Link:
         if self._queued_count:
             self._start_next()
         # Empty-queue early-out is state-identical: _pick_next over four
-        # empty deques returns None, and _start_next(None) only re-sets
+        # empty queues returns None, and _start_next(None) only re-sets
         # _busy = False.
 
     # -- faults ----------------------------------------------------------
@@ -291,7 +293,7 @@ class Link:
             chk = self._check
             for queue in self._queues:
                 while queue:
-                    _seq, packet, _cb = queue.popleft()
+                    _seq, packet, _cb = queue.pop(0)
                     self._queued_bytes -= packet.size_bytes
                     self._queued_count -= 1
                     if chk is not None:

@@ -209,8 +209,6 @@ class Router:
         msh = policy.max_shuffle_hops
         shuffle_ok = msh is None or packet.hops < msh
         topology = self.topology
-        if not topology.route_cache_enabled:
-            return self._choose_output_uncached(packet, shuffle_ok)
         if self._routes_version != topology.routes_version:
             self._link_cache[0].clear()
             self._link_cache[1].clear()
@@ -262,27 +260,3 @@ class Router:
                 best_backlog = backlog
                 best_dst = link.dst
         return best
-
-    def _choose_output_uncached(
-        self, packet: Packet, shuffle_ok: bool
-    ) -> tuple[Link, Callable[[Packet], None]]:
-        """The pre-cache slow path, kept for apples-to-apples perf
-        comparison (``topology.route_cache_enabled = False``)."""
-        candidates = self.topology._minimal_next_hops_uncached(
-            self.node, packet.dst, shuffle_ok
-        )
-        if not candidates:
-            raise RuntimeError(
-                f"router {self.node}: no route toward {packet.dst}"
-            )
-        if len(candidates) == 1 or not self.policy.adaptive:
-            nxt = candidates[0]
-            return self.out_links[nxt], self._receivers[nxt]
-        best = None
-        best_key = None
-        for nxt in candidates:
-            link = self.out_links[nxt]
-            key = (link.backlog_ns(), nxt)
-            if best_key is None or key < best_key:
-                best, best_key = nxt, key
-        return self.out_links[best], self._receivers[best]

@@ -1,6 +1,6 @@
 """Interconnect topologies.
 
-Three families are modelled:
+Two families are modelled:
 
 * :class:`TorusTopology` -- the standard GS1280 2-D torus (Figure 3),
   with physical link classes (module / backplane / cable) that carry
@@ -12,17 +12,25 @@ Three families are modelled:
   orthogonal extent.  Both constructions reproduce the corresponding
   Table 1 rows exactly (4x2 and 4x4); see EXPERIMENTS.md for the larger
   idealized shapes.
-* :class:`SwitchTopology` -- the GS320 hierarchy (CPU - QBB switch -
-  global switch) flattened to CPU endpoints with per-hop switch classes.
 
-All topologies expose the same interface: integer nodes, a neighbor
-map with link classes, BFS distance tables, and minimal next-hop sets,
-so one router/fabric implementation serves every machine.
+Both expose the same interface: integer nodes, a neighbor map with link
+classes, BFS distance tables, and minimal next-hop sets, so one
+router/fabric implementation serves every machine.  (The GS320 switch
+hierarchy is modelled by :class:`repro.network.fabric.SwitchFabric`.)
+
+Like the 21364's routing tables, which are set up once per machine
+configuration, the distance and next-hop tables are a pure function of
+the adjacency: :func:`_route_tables` computes them once per distinct
+adjacency and every topology with that adjacency shares the same
+immutable tuples.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
+from itertools import compress
+from operator import eq
 
 from repro.config import LinkClass, TorusShape
 from repro.network import geometry
@@ -31,9 +39,81 @@ __all__ = [
     "Topology",
     "TorusTopology",
     "ShuffleTopology",
-    "SwitchTopology",
     "build_gs1280_topology",
 ]
+
+
+#: Routing-relevant adjacency: per node, its (neighbor, is_shuffle)
+#: pairs in adjacency order.  Link classes set wire delays, not routes,
+#: so they are not part of it.
+Adjacency = tuple[tuple[tuple[int, bool], ...], ...]
+DistTable = tuple[tuple[int, ...], ...]
+HopTable = tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _bfs(adj: Adjacency, src: int, use_shuffle: bool) -> tuple[int, ...]:
+    dist = [-1] * len(adj)
+    dist[src] = 0
+    frontier = deque([src])
+    while frontier:
+        u = frontier.popleft()
+        du = dist[u] + 1
+        for v, shuffle in adj[u]:
+            if shuffle and not use_shuffle:
+                continue
+            if dist[v] < 0:
+                dist[v] = du
+                frontier.append(v)
+    if -1 in dist:
+        raise ValueError("topology is disconnected")
+    return tuple(dist)
+
+
+def _hop_row(
+    nbs: tuple[int, ...], dist: DistTable, src: int
+) -> tuple[tuple[int, ...], ...]:
+    """Per destination, the neighbors ``nbs`` of ``src`` that are one hop
+    closer to it under ``dist`` (in adjacency order; ``()`` for ``src``
+    itself, whose target distance -1 no neighbor has)."""
+    if not nbs:  # a single-node machine
+        return ((),) * len(dist)
+    targets = [d - 1 for d in dist[src]]
+    on_path = [list(map(eq, dist[nb], targets)) for nb in nbs]
+    return tuple([tuple(compress(nbs, flags)) for flags in zip(*on_path)])
+
+
+@functools.lru_cache(maxsize=16)
+def _route_tables(
+    adj: Adjacency,
+) -> tuple[DistTable, DistTable, HopTable, HopTable]:
+    """Distance and minimal next-hop tables of one adjacency:
+    ``(dist, dist_base, next, next_base)``, indexed ``[src][dst]``.
+
+    Two variants mirror the two phases of shuffle routing: the
+    shuffle-eligible tables (all links) and the base-restricted tables
+    (non-shuffle links only).  The shuffle next-hop table bakes in the
+    fall-through to the base hops for the (theoretical) case where no
+    all-links neighbor reduces the shuffle distance, so lookups never
+    need a second probe.  Without shuffle links both variants are the
+    same objects.  Raises :class:`ValueError` (not cached) if the
+    adjacency is disconnected.
+    """
+    n = len(adj)
+    dist = tuple(_bfs(adj, src, True) for src in range(n))
+    all_nbs = [tuple(nb for nb, _sh in adj[src]) for src in range(n)]
+    if not any(sh for nbrs in adj for _nb, sh in nbrs):
+        nxt = tuple(_hop_row(all_nbs[src], dist, src) for src in range(n))
+        return dist, dist, nxt, nxt
+    dist_base = tuple(_bfs(adj, src, False) for src in range(n))
+    nxt_base = tuple(
+        _hop_row(tuple(nb for nb, sh in adj[src] if not sh), dist_base, src)
+        for src in range(n)
+    )
+    nxt = tuple(
+        tuple(h or hb for h, hb in zip(_hop_row(all_nbs[src], dist, src), base))
+        for src, base in enumerate(nxt_base)
+    )
+    return dist, dist_base, nxt, nxt_base
 
 
 class Topology:
@@ -51,18 +131,17 @@ class Topology:
         self._adj: dict[int, list[tuple[int, str, bool]]] = {
             n: [] for n in range(n_nodes)
         }
-        self._dist: list[list[int]] = []
-        self._dist_base: list[list[int]] = []
-        self._next: list[list[tuple[int, ...]]] = []
-        self._next_base: list[list[tuple[int, ...]]] = []
-        #: Bumped on every routing-table rebuild (construction and
-        #: :meth:`fail_link`); routers key their per-destination link
-        #: caches on it so a failed link invalidates them all at once.
+        # Shared with every topology of the same adjacency (see
+        # _route_tables); tuples, so no holder can edit another's routes.
+        self._dist: DistTable = ()
+        self._dist_base: DistTable = ()
+        self._next: HopTable = ()
+        self._next_base: HopTable = ()
+        #: Bumped on every routing-table rebuild (construction,
+        #: :meth:`fail_link`, :meth:`repair_link`); routers key their
+        #: per-destination link caches on it so a failed link
+        #: invalidates them all at once.
         self.routes_version: int = 0
-        #: When False, :meth:`minimal_next_hops` re-derives hop sets from
-        #: the BFS distance tables per call (the reference path, used by
-        #: the property tests and the perf harness's "before" side).
-        self.route_cache_enabled: bool = True
         #: Links removed by :meth:`fail_link`, as (a, b, class, shuffle,
         #: idx_in_adj[a], idx_in_adj[b]) in failure order;
         #: :meth:`repair_link` restores from here.  The adjacency indices
@@ -82,72 +161,16 @@ class Topology:
         self._adj[b].append((a, link_class, shuffle))
 
     def _finalize(self) -> None:
-        self._dist = [self._bfs(src, use_shuffle=True) for src in range(self.n_nodes)]
-        if self.has_shuffle_links():
-            self._dist_base = [
-                self._bfs(src, use_shuffle=False) for src in range(self.n_nodes)
-            ]
-        else:
-            self._dist_base = self._dist
-        self._build_route_tables()
-
-    def _build_route_tables(self) -> None:
-        """Precompute per-(src, dst) minimal next-hop tuples.
-
-        Two variants mirror the two phases of shuffle routing: the
-        shuffle-eligible table (all links, shuffle distances) and the
-        base-restricted table (non-shuffle links, base distances).  The
-        shuffle table bakes in the fall-through to the base hops for the
-        (theoretical) case where no all-links neighbor reduces the
-        shuffle distance, so lookups never need a second probe.
-        """
-        n = self.n_nodes
-        dist, dist_base = self._dist, self._dist_base
-        nxt: list[list[tuple[int, ...]]] = []
-        nxt_base: list[list[tuple[int, ...]]] = []
-        for src in range(n):
-            adj_src = self._adj[src]
-            d_src, db_src = dist[src], dist_base[src]
-            row: list[tuple[int, ...]] = []
-            row_base: list[tuple[int, ...]] = []
-            for dst in range(n):
-                if src == dst:
-                    row.append(())
-                    row_base.append(())
-                    continue
-                target = d_src[dst] - 1
-                hops = tuple(
-                    nb for nb, _cls, _sh in adj_src if dist[nb][dst] == target
-                )
-                target_base = db_src[dst] - 1
-                hops_base = tuple(
-                    nb
-                    for nb, _cls, sh in adj_src
-                    if not sh and dist_base[nb][dst] == target_base
-                )
-                row.append(hops or hops_base)
-                row_base.append(hops_base)
-            nxt.append(row)
-            nxt_base.append(row_base)
-        self._next = nxt
-        self._next_base = nxt_base
+        """Point this topology at the (shared) tables of its adjacency."""
+        adj = self._adj
+        key = tuple(
+            tuple((nb, sh) for nb, _cls, sh in adj[n])
+            for n in range(self.n_nodes)
+        )
+        self._dist, self._dist_base, self._next, self._next_base = (
+            _route_tables(key)
+        )
         self.routes_version += 1
-
-    def _bfs(self, src: int, use_shuffle: bool) -> list[int]:
-        dist = [-1] * self.n_nodes
-        dist[src] = 0
-        frontier = deque([src])
-        while frontier:
-            u = frontier.popleft()
-            for v, _cls, shuffle in self._adj[u]:
-                if shuffle and not use_shuffle:
-                    continue
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    frontier.append(v)
-        if any(d < 0 for d in dist):
-            raise ValueError("topology is disconnected")
-        return dist
 
     # -- queries ---------------------------------------------------------
     def neighbors(self, node: int) -> list[tuple[int, str, bool]]:
@@ -183,9 +206,7 @@ class Topology:
         if src == dst:
             return []
         shuffle_ok = max_shuffle_hops is None or hops_taken < max_shuffle_hops
-        if self.route_cache_enabled:
-            return list(self.next_hops(src, dst, shuffle_ok))
-        return self._minimal_next_hops_uncached(src, dst, shuffle_ok)
+        return list(self.next_hops(src, dst, shuffle_ok))
 
     def next_hops(self, src: int, dst: int, shuffle_ok: bool = True) -> tuple[int, ...]:
         """Precomputed minimal next-hop tuple for ``src`` -> ``dst``.
@@ -201,7 +222,8 @@ class Topology:
         self, src: int, dst: int, shuffle_ok: bool
     ) -> list[int]:
         """Reference derivation straight from the BFS distance tables
-        (what :meth:`next_hops` precomputes)."""
+        (what :meth:`next_hops` precomputes); the tests and the perf
+        harness's smoke check compare the tables against it."""
         if shuffle_ok:
             target = self._dist[src][dst] - 1
             hops = [
@@ -254,8 +276,8 @@ class Topology:
             self._finalize()
         except ValueError:
             # Disconnection is detected before any table is replaced
-            # (the BFS raises mid-comprehension), so restoring the
-            # adjacency lists restores the exact pre-call state.
+            # (_route_tables raises, and caches nothing), so restoring
+            # the adjacency lists restores the exact pre-call state.
             self._adj[a].insert(idx_a, removed)
             self._adj[b].insert(idx_b, removed_rev)
             raise ValueError(
@@ -268,9 +290,9 @@ class Topology:
         """Restore a link previously removed by :meth:`fail_link` (with
         its original class, shuffle flag, and adjacency position) and
         rebuild the routing tables.  Because the link returns to its
-        original position, the rebuilt route tables match the pre-failure
-        tables exactly.  Raises :class:`ValueError` if no such failed
-        link is on record."""
+        original position, the adjacency is the pre-failure one again and
+        so are the route tables (the very same shared objects).  Raises
+        :class:`ValueError` if no such failed link is on record."""
         for index, (fa, fb, cls, shuffle, idx_a, idx_b) in enumerate(self._failed):
             if (fa, fb) in ((a, b), (b, a)):
                 del self._failed[index]
@@ -422,42 +444,6 @@ class ShuffleTopology(Topology):
                         cls = LinkClass.BACKPLANE
                     self._add_link(node, south, cls)
         self._finalize()
-
-
-class SwitchTopology(Topology):
-    """The GS320 hierarchy (CPU - QBB switch - global switch) as a graph.
-
-    Nodes ``0 .. n_cpus-1`` are CPU endpoints; each group of
-    ``cpus_per_group`` CPUs hangs off one QBB-switch node, and the QBB
-    switches meet at a single global-switch node (all SWITCH-class
-    links).  The event-driven GS320 model uses :class:`SwitchFabric`
-    (shared contended links) instead, but this graph view gives the
-    switch machines the same routing-table interface as the tori --
-    which is what the route-cache property tests and the analytic
-    distance metrics consume.
-    """
-
-    def __init__(self, n_cpus: int, cpus_per_group: int = 4) -> None:
-        if n_cpus < 1:
-            raise ValueError("switch topology needs at least one CPU")
-        if cpus_per_group < 1:
-            raise ValueError("cpus_per_group must be >= 1")
-        self.n_cpus = n_cpus
-        self.cpus_per_group = cpus_per_group
-        n_groups = (n_cpus + cpus_per_group - 1) // cpus_per_group
-        self.n_groups = n_groups
-        # CPUs, then one switch per group, then the global switch.
-        super().__init__(n_cpus + n_groups + 1)
-        global_switch = n_cpus + n_groups
-        for cpu in range(n_cpus):
-            self._add_link(cpu, n_cpus + cpu // cpus_per_group, LinkClass.SWITCH)
-        for g in range(n_groups):
-            self._add_link(n_cpus + g, global_switch, LinkClass.SWITCH)
-        self._finalize()
-
-    def switch_of(self, cpu: int) -> int:
-        """Graph node id of ``cpu``'s QBB switch."""
-        return self.n_cpus + cpu // self.cpus_per_group
 
 
 def build_gs1280_topology(shape: TorusShape, shuffle: bool = False) -> Topology:

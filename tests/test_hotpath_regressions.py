@@ -1,6 +1,7 @@
-"""Regression tests for the hot-path/parallel-runner PR: kernel clamp
-and repr fixes, link anti-starvation, route-table/BFS equivalence, the
-Read-Dirty small-machine fix, and parallel==serial determinism."""
+"""Hot-path regression tests: kernel clamp and repr fixes, link
+anti-starvation, route-table/BFS equivalence, per-shape shared route
+tables and machine size, the Read-Dirty small-machine fix, and
+parallel==serial determinism."""
 
 import functools
 import json
@@ -17,9 +18,9 @@ from repro.network import (
     MessageClass,
     Packet,
     ShuffleTopology,
-    SwitchTopology,
     TorusTopology,
 )
+from repro.network.topology import _route_tables
 from repro.parallel import parallel_map
 from repro.sim import Simulator
 from repro.systems import GS1280System
@@ -141,11 +142,12 @@ def _assert_tables_match_bfs(topology):
     "factory",
     [
         lambda: TorusTopology(TorusShape(4, 4)),
+        lambda: TorusTopology(TorusShape(8, 4)),
+        lambda: TorusTopology(TorusShape(8, 8)),
         lambda: ShuffleTopology(TorusShape(4, 2)),
         lambda: ShuffleTopology(TorusShape(4, 4)),
-        lambda: SwitchTopology(16),
     ],
-    ids=["torus4x4", "shuffle4x2", "shuffle4x4", "switch16"],
+    ids=["torus4x4", "torus8x4", "torus8x8", "shuffle4x2", "shuffle4x4"],
 )
 def test_route_tables_match_fresh_bfs(factory):
     topology = factory()
@@ -161,14 +163,148 @@ def test_route_tables_rebuilt_after_fail_link():
 
 
 def test_minimal_next_hops_matches_uncached_mode():
-    cached = TorusTopology(TorusShape(4, 4))
-    uncached = TorusTopology(TorusShape(4, 4))
-    uncached.route_cache_enabled = False
+    """The table lookup agrees with the uncached reference derivation."""
+    topology = TorusTopology(TorusShape(4, 4))
     for src in range(16):
         for dst in range(16):
             if src != dst:
-                assert cached.minimal_next_hops(src, dst) == \
-                    uncached.minimal_next_hops(src, dst)
+                assert topology.minimal_next_hops(src, dst) == \
+                    topology._minimal_next_hops_uncached(src, dst, True)
+
+
+# ----------------------------------------------------------------------
+# Route tables are shared per adjacency, immutable, and failure-safe
+# ----------------------------------------------------------------------
+def _tables(topology):
+    return (topology._dist, topology._dist_base, topology._next,
+            topology._next_base)
+
+
+def _assert_same_objects(a, b):
+    assert all(x is y for x, y in zip(_tables(a), _tables(b)))
+
+
+def test_same_shape_machines_share_route_tables():
+    first = GS1280System(16).topology
+    second = GS1280System(16).topology
+    _assert_same_objects(first, second)
+    # Without shuffle links the base tables are the all-links tables.
+    assert first._next_base is first._next
+
+
+def test_fail_link_leaves_other_machines_routes_alone():
+    failed = GS1280System(16).topology
+    other = GS1280System(16).topology
+    shared = _tables(other)
+    failed.fail_link(0, 1)
+    assert failed._next is not other._next
+    assert all(x is y for x, y in zip(_tables(other), shared))
+    _assert_tables_match_bfs(other)
+    _assert_tables_match_bfs(failed)
+
+
+def test_repair_link_restores_shared_tables():
+    topology = GS1280System(16).topology
+    pristine = GS1280System(16).topology
+    version = topology.routes_version
+    topology.fail_link(9, 10)
+    topology.repair_link(9, 10)
+    assert topology.routes_version == version + 2
+    _assert_same_objects(topology, pristine)
+
+
+def test_disconnecting_fail_link_changes_nothing():
+    # On a 2x1 machine the single link is a bridge.
+    topology = TorusTopology(TorusShape(2, 1))
+    adjacency = {n: list(nbrs) for n, nbrs in topology._adj.items()}
+    tables = _tables(topology)
+    version = topology.routes_version
+    with pytest.raises(ValueError, match="disconnect"):
+        topology.fail_link(0, 1)
+    assert topology._adj == adjacency
+    assert topology.routes_version == version
+    assert topology.failed_links() == []
+    assert all(x is y for x, y in zip(_tables(topology), tables))
+    assert _tables(TorusTopology(TorusShape(2, 1))) == tables
+
+
+def test_shared_route_rows_are_immutable():
+    topology = GS1280System(16).topology
+    with pytest.raises(TypeError):
+        topology._next[0][1] = (2,)
+    with pytest.raises(TypeError):
+        topology._dist[0][1] = 7
+
+
+def test_more_failed_links_than_the_cache_holds_stay_correct():
+    cap = _route_tables.cache_info().maxsize
+    pristine = TorusTopology(TorusShape(4, 4))
+    edges = pristine.edges()
+    assert len(edges) > cap
+    for a, b, _cls, _sh in edges[: cap + 2]:
+        topology = TorusTopology(TorusShape(4, 4))
+        topology.fail_link(a, b)
+        _assert_tables_match_bfs(topology)
+        topology.repair_link(a, b)
+        assert _tables(topology) == _tables(pristine)
+        _assert_tables_match_bfs(topology)
+
+
+def test_threads_building_shapes_concurrently_get_correct_tables():
+    """The table cache is shared by every thread of a process (service
+    workers build machines on threads): concurrent misses, hits,
+    failures and repairs must each still yield the right tables."""
+    import sys
+    import threading
+
+    shapes = [TorusShape(4, 4), TorusShape(8, 4), TorusShape(4, 2)]
+    expected = {shape: _tables(TorusTopology(shape)) for shape in shapes}
+    errors = []
+
+    def build(offset):
+        try:
+            for i in range(12):
+                shape = shapes[(offset + i) % len(shapes)]
+                topology = TorusTopology(shape)
+                assert _tables(topology) == expected[shape]
+                a, b, _cls, _sh = topology.edges()[i % 4]
+                topology.fail_link(a, b)
+                _assert_tables_match_bfs(topology)
+                topology.repair_link(a, b)
+                assert _tables(topology) == expected[shape]
+        except Exception as exc:  # reported by the assert below
+            errors.append(exc)
+
+    _route_tables.cache_clear()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_repeat_64p_build_is_small():
+    """Once route tables are shared and VC queues are lists, a 64P
+    machine is ~0.5 MiB; it was ~1.8 MiB when every build rebuilt its
+    tables and each of its ~1k VC queues pre-allocated a deque block."""
+    import tracemalloc
+
+    GS1280System(64)  # warm-up: route tables built and cached
+    tracemalloc.start()
+    try:
+        system = GS1280System(64)
+        size, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.n_cpus == 64
+    assert size <= 1 << 20, f"a 64P machine traced {size / 2**20:.2f} MiB"
 
 
 # ----------------------------------------------------------------------
