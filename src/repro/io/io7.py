@@ -66,38 +66,7 @@ class Io7Chip:
             raise ValueError("stream size must be positive")
         home = self.node if home is None else home
         blocks = -(-total_bytes // DMA_BLOCK_BYTES)
-        state = {"queued": blocks, "left": blocks}
-
-        def issue() -> None:
-            while state["queued"] > 0 and self._active < self.outstanding:
-                state["queued"] -= 1
-                self._active += 1
-                # PCI-side pacing: one block per DMA_BLOCK/pci_bw.
-                now = self.sim.now
-                start = max(now, self._pci_free_at)
-                self._pci_free_at = start + DMA_BLOCK_BYTES / self.pci_bw_gbps
-                self.sim.schedule(start - now, fire)
-
-        def fire() -> None:
-            if write:
-                self.agent.read_mod(self._next_address(), done, home=home,
-                                    size_bytes=DMA_BLOCK_BYTES)
-            else:
-                self.agent.read(self._next_address(), done, home=home,
-                                size_bytes=DMA_BLOCK_BYTES)
-
-        def done(_txn) -> None:
-            self._active -= 1
-            self.bytes_done += DMA_BLOCK_BYTES
-            self.transfers_done += 1
-            state["left"] -= 1
-            if state["left"] == 0:
-                if on_complete is not None:
-                    on_complete()
-            else:
-                issue()
-
-        issue()
+        _DmaStream(self, blocks, home, write, on_complete).issue()
 
     _addr = 0
 
@@ -105,3 +74,52 @@ class Io7Chip:
         # Sequential DMA addresses (page-friendly), per-chip region.
         Io7Chip._addr += DMA_BLOCK_BYTES
         return (self.node << 34) | (Io7Chip._addr % (1 << 30))
+
+
+class _DmaStream:
+    """One :meth:`Io7Chip.stream` in flight.  Its steps are bound
+    methods: closures that named each other would make every finished
+    stream a reference cycle (docs/hotpath.md)."""
+
+    __slots__ = ("chip", "queued", "left", "home", "write", "on_complete")
+
+    def __init__(self, chip: Io7Chip, blocks: int, home: int, write: bool,
+                 on_complete: Callable[[], None] | None) -> None:
+        self.chip = chip
+        self.queued = blocks
+        self.left = blocks
+        self.home = home
+        self.write = write
+        self.on_complete = on_complete
+
+    def issue(self) -> None:
+        chip = self.chip
+        while self.queued > 0 and chip._active < chip.outstanding:
+            self.queued -= 1
+            chip._active += 1
+            # PCI-side pacing: one block per DMA_BLOCK/pci_bw.
+            now = chip.sim.now
+            start = max(now, chip._pci_free_at)
+            chip._pci_free_at = start + DMA_BLOCK_BYTES / chip.pci_bw_gbps
+            chip.sim.schedule(start - now, self.fire)
+
+    def fire(self) -> None:
+        chip = self.chip
+        if self.write:
+            chip.agent.read_mod(chip._next_address(), self.done,
+                                home=self.home, size_bytes=DMA_BLOCK_BYTES)
+        else:
+            chip.agent.read(chip._next_address(), self.done, home=self.home,
+                            size_bytes=DMA_BLOCK_BYTES)
+
+    def done(self, _txn) -> None:
+        chip = self.chip
+        chip._active -= 1
+        chip.bytes_done += DMA_BLOCK_BYTES
+        chip.transfers_done += 1
+        self.left -= 1
+        if self.left == 0:
+            if self.on_complete is not None:
+                self.on_complete()
+        else:
+            self.issue()

@@ -124,20 +124,23 @@ class Router:
 
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        """A packet's head has arrived at this router."""
+        """A packet's head has arrived at this router (or, from
+        :meth:`inject`, a new packet leaves its source)."""
         if packet.dst == self.node:
             self.packets_delivered += 1
             self.deliver(packet)
             return
-        # _forward inlined (as in inject): one call frame per hop is
-        # measurable at 64P load.
         self.packets_routed += 1
         delay = self._pipeline_ns
+        # Routing-throughput limit: one decision per slot.
         now = self.sim.now
         free_at = self._route_free_at
         start = free_at if free_at > now else now
         self._route_free_at = start + self.route_slot_ns
         delay += start - now
+        # The adaptive output choice happens at the end of the pipeline,
+        # when the VC backlogs it reads are current.  post(): routing
+        # decisions are never cancelled, so no Event handle is needed.
         self._post(delay, self._inject_cb, packet)
 
     def inject(self, packet: Packet) -> None:
@@ -154,23 +157,9 @@ class Router:
             # the pipeline only.
             self._post(self.config.pipeline_ns, self.deliver, packet)
             return
-        self._forward(packet)
+        self.receive(packet)
 
     # ------------------------------------------------------------------
-    def _forward(self, packet: Packet) -> None:
-        self.packets_routed += 1
-        delay = self._pipeline_ns
-        # Routing-throughput limit: one decision per slot.
-        now = self.sim.now
-        free_at = self._route_free_at
-        start = free_at if free_at > now else now
-        self._route_free_at = start + self.route_slot_ns
-        delay += start - now
-        # The adaptive output choice happens at the end of the pipeline,
-        # when the VC backlogs it reads are current.  post(): routing
-        # decisions are never cancelled, so no Event handle is needed.
-        self._post(delay, self._inject_cb, packet)
-
     def stall(self, duration_ns: float) -> None:
         """Freeze this router's routing pipeline for ``duration_ns``.
 

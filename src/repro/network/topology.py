@@ -91,27 +91,27 @@ def _route_tables(
 
     Two variants mirror the two phases of shuffle routing: the
     shuffle-eligible tables (all links) and the base-restricted tables
-    (non-shuffle links only).  The shuffle next-hop table bakes in the
-    fall-through to the base hops for the (theoretical) case where no
-    all-links neighbor reduces the shuffle distance, so lookups never
-    need a second probe.  Without shuffle links both variants are the
-    same objects.  Raises :class:`ValueError` (not cached) if the
-    adjacency is disconnected.
+    (non-shuffle links only).  Every ``next[src][dst]`` with
+    ``dst != src`` is non-empty: the adjacency is connected (``_bfs``
+    raises otherwise) and links come in pairs, so the node before
+    ``src`` on a shortest path back from ``dst`` is a neighbor one hop
+    closer.  Lookups therefore never fall back from the shuffle table
+    to the base one.  Without shuffle links both variants are the same
+    objects.  Raises :class:`ValueError` (not cached) if the adjacency,
+    or its base-link part, is disconnected.
     """
     n = len(adj)
     dist = tuple(_bfs(adj, src, True) for src in range(n))
-    all_nbs = [tuple(nb for nb, _sh in adj[src]) for src in range(n)]
+    nxt = tuple(
+        _hop_row(tuple(nb for nb, _sh in adj[src]), dist, src)
+        for src in range(n)
+    )
     if not any(sh for nbrs in adj for _nb, sh in nbrs):
-        nxt = tuple(_hop_row(all_nbs[src], dist, src) for src in range(n))
         return dist, dist, nxt, nxt
     dist_base = tuple(_bfs(adj, src, False) for src in range(n))
     nxt_base = tuple(
         _hop_row(tuple(nb for nb, sh in adj[src] if not sh), dist_base, src)
         for src in range(n)
-    )
-    nxt = tuple(
-        tuple(h or hb for h, hb in zip(_hop_row(all_nbs[src], dist, src), base))
-        for src, base in enumerate(nxt_base)
     )
     return dist, dist_base, nxt, nxt_base
 

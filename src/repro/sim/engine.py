@@ -37,20 +37,48 @@ Three hot-path representations keep the per-event cost down:
   heap's head time -- see docs/hotpath.md for the full argument.  The
   per-event counters still update inside the burst, so ``pending`` /
   ``stats()`` stay mid-run exact.
+
+:meth:`Simulator.run` also pauses the cyclic garbage collector while it
+dispatches and restores the caller's setting on the way out.  Handlers
+create no reference cycles (docs/hotpath.md states the rule and the
+tests that guard it), so a collection pass mid-run would find nothing
+and only cost time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import heapq
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro import fastpath
 
 __all__ = ["Event", "Simulator", "SimulationError"]
 
 _INF = float("inf")
+
+
+@contextlib.contextmanager
+def gc_paused() -> Iterator[None]:
+    """Hold off the cyclic garbage collector for the block and leave it
+    as the caller had it, however the block exits.
+
+    For blocks where a collection pass would free nothing worth its
+    cost, such as a traffic probe's whole machine life, whose dead
+    machine is then young garbage (docs/hotpath.md).
+    :meth:`Simulator.run` makes the same pause inline: under cProfile
+    this manager's ``__enter__``/``__exit__`` would count as handler
+    calls made from ``run`` (``tests/test_engine_gc.py``)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class SimulationError(RuntimeError):
@@ -177,7 +205,7 @@ class Simulator:
         model may convert any never-cancelled schedule to ``post``
         without changing observable behaviour; this is the hot-path
         default for link arrivals, wire-free callbacks, router pipeline
-        stages and coherence handler hops."""
+        stages, coherence handler hops and traffic arrivals."""
         seq = self._seq
         if delay > 0.0:
             _heappush(self._queue, (self.now + delay, seq, fn, args))
@@ -263,6 +291,9 @@ class Simulator:
         inside the window remain unprocessed, the window is genuinely
         incomplete, and ``now`` stays at the last processed event so the
         caller can observe the truncation.
+
+        The cyclic garbage collector is paused while events dispatch
+        and left as the caller had it on return, normal or not.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -283,6 +314,14 @@ class Simulator:
         # exceeds +inf, so the tight loop pays one compare, not an
         # is-None test plus a compare.
         limit = _INF if until is None else until
+        # The pause of gc_paused(), written out: no handler makes
+        # reference cycles (docs/hotpath.md), so a collection pass here
+        # would free nothing.  perfbench/layers.py counts every Python
+        # call made from this method as an event, so the loop stays here
+        # and calls nothing but handlers; a ``with`` block would add its
+        # __enter__/__exit__ to the traced event count.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 if burst_ok:
@@ -405,6 +444,8 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
+            if gc_was_enabled:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # introspection

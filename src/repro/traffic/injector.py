@@ -21,10 +21,12 @@ built system.  Structure:
 Determinism: every source draws from two dedicated
 :class:`~repro.sim.RngFactory` substreams (arrival gaps and memory
 targets), keyed by (class index, cpu), and consumes them strictly in
-arrival order.  The simulator fires simultaneous events in FIFO
-order, so the injection schedule, the per-class histograms, and every
-counter here are byte-identical across repeated runs and any
-``--jobs`` width.
+arrival order.  Targets are drawn through a
+:class:`~repro.sim.rng.BoundedInts`, which takes raw blocks from the
+stream but returns the same values as one ``integers`` call per draw.
+The simulator fires simultaneous events in FIFO order, so the
+injection schedule, the per-class histograms, and every counter here
+are byte-identical across repeated runs and any ``--jobs`` width.
 
 Measurement is windowed like the closed-loop runner: arrivals before
 ``warmup_ns`` warm the machine but are not measured; arrivals inside
@@ -39,6 +41,7 @@ from heapq import heappop, heappush
 
 from repro.coherence import CoherenceAgent
 from repro.sim import RngFactory, Simulator
+from repro.sim.rng import BoundedInts
 from repro.systems.base import SystemBase
 from repro.traffic.histogram import LatencyHistogram
 from repro.traffic.mix import TenantClass, TrafficMix
@@ -54,17 +57,18 @@ _LINES_PER_NODE = _NODE_MEMORY_BYTES // 64
 class _Source:
     """One (tenant class, CPU) arrival chain and its measurement state."""
 
-    __slots__ = ("tenant", "class_index", "cpu", "gen", "target_rng",
+    __slots__ = ("tenant", "class_index", "cpu", "gen", "targets",
                  "histogram", "issued", "completed", "within_slo",
                  "injected_total")
 
     def __init__(self, tenant: TenantClass, class_index: int, cpu: int,
-                 gen, target_rng, buckets_per_octave: int) -> None:
+                 gen, targets: BoundedInts,
+                 buckets_per_octave: int) -> None:
         self.tenant = tenant
         self.class_index = class_index
         self.cpu = cpu
         self.gen = gen
-        self.target_rng = target_rng
+        self.targets = targets
         self.histogram = LatencyHistogram(buckets_per_octave)
         self.issued = 0          # measured-window arrivals
         self.completed = 0       # measured arrivals that completed
@@ -75,18 +79,18 @@ class _Source:
         """(address, home) for the next transaction -- one or two rng
         draws, in fixed order."""
         pattern = self.tenant.pattern
-        rng = self.target_rng
+        below = self.targets.below
         if pattern == "local":
             node = self.cpu
         elif pattern == "hotspot":
             node = self.tenant.hotspot_node % n_cpus
         elif pattern == "uniform":
-            node = int(rng.integers(0, n_cpus))
+            node = below(n_cpus)
         else:  # uniform_remote
-            node = int(rng.integers(0, n_cpus))
+            node = below(n_cpus)
             if n_cpus > 1 and node == self.cpu:
                 node = (node + 1) % n_cpus
-        address = int(rng.integers(0, _LINES_PER_NODE)) * 64
+        address = below(_LINES_PER_NODE) * 64
         return address, node
 
 
@@ -94,12 +98,11 @@ class _CpuIssuer:
     """Per-CPU admission control: a bounded set of in-flight
     transactions fed from a (priority, FIFO) arrival queue."""
 
-    __slots__ = ("injector", "sim", "agent", "max_outstanding",
-                 "outstanding", "queue", "_seq", "queued_peak")
+    __slots__ = ("sim", "agent", "max_outstanding", "outstanding",
+                 "queue", "_seq", "queued_peak")
 
-    def __init__(self, injector: "OpenLoopInjector", sim: Simulator,
-                 agent: CoherenceAgent, max_outstanding: int) -> None:
-        self.injector = injector
+    def __init__(self, sim: Simulator, agent: CoherenceAgent,
+                 max_outstanding: int) -> None:
         self.sim = sim
         self.agent = agent
         self.max_outstanding = max_outstanding
@@ -191,7 +194,7 @@ class OpenLoopInjector:
         )
         n_cpus = system.n_cpus
         self.issuers = [
-            _CpuIssuer(self, system.sim, system.agent(cpu), max_outstanding)
+            _CpuIssuer(system.sim, system.agent(cpu), max_outstanding)
             for cpu in range(n_cpus)
         ]
         self.sources: list[_Source] = []
@@ -211,7 +214,7 @@ class OpenLoopInjector:
                 )
                 self.sources.append(_Source(
                     tenant, class_index, cpu,
-                    spec.generator(gap_rng, 0.0), target_rng,
+                    spec.generator(gap_rng, 0.0), BoundedInts(target_rng),
                     buckets_per_octave,
                 ))
         self._started = False
@@ -224,10 +227,11 @@ class OpenLoopInjector:
         if self._started:
             raise RuntimeError("injector already started")
         self._started = True
+        sim = self.system.sim
         for source in self.sources:
             first = source.gen.next_ns()
             if first <= self.cutoff_ns:
-                self.system.sim.schedule_at(first, self._arrival, source)
+                sim.post(first - sim.now, self._arrival, source)
 
     def _arrival(self, source: _Source) -> None:
         sim = self.system.sim
@@ -244,7 +248,9 @@ class OpenLoopInjector:
         self.issuers[source.cpu].submit(source, now, address, home, measured)
         nxt = source.gen.next_ns()
         if nxt <= self.cutoff_ns:
-            sim.schedule_at(nxt, self._arrival, source)
+            # post(), not schedule_at(): an arrival is never cancelled,
+            # and ``now + (nxt - now)`` is the time schedule_at stamps.
+            sim.post(nxt - now, self._arrival, source)
         # else: the chain parks itself -- no perpetual arrival event
         # keeps a drain-the-queue run() from terminating.
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.coherence import CoherenceAgent
 from repro.systems.base import SystemBase
 
 __all__ = ["ComputePhase", "MemoryPhase", "ExchangePhase", "PhasedRun"]
@@ -77,6 +78,35 @@ class _Barrier:
         if self._arrived == self.n_ranks:
             self._arrived = 0
             self.on_release()
+
+
+class _BlockReads:
+    """``blocks`` dependent block reads from ``addr`` upward on
+    ``home``, then ``done()``.  Each read's completion issues the next
+    through a bound method: a closure that named itself would make
+    every finished stream a reference cycle (docs/hotpath.md)."""
+
+    __slots__ = ("agent", "home", "addr", "left", "block_bytes", "done")
+
+    def __init__(self, agent: CoherenceAgent, home: int, addr: int,
+                 blocks: int, block_bytes: int,
+                 done: Callable[[], None]) -> None:
+        self.agent = agent
+        self.home = home
+        self.addr = addr
+        self.left = blocks
+        self.block_bytes = block_bytes
+        self.done = done
+
+    def next(self, _txn=None) -> None:
+        if self.left == 0:
+            self.done()
+            return
+        self.left -= 1
+        addr = self.addr
+        self.addr += self.block_bytes
+        self.agent.read(addr, self.next, home=self.home,
+                        size_bytes=self.block_bytes)
 
 
 class PhasedRun:
@@ -151,19 +181,8 @@ class PhasedRun:
             return
         if isinstance(phase, MemoryPhase):
             blocks = max(1, phase.total_bytes // phase.block_bytes)
-            state = {"left": blocks, "addr": (rank + 1) << 24}
-
-            def next_block(_txn=None) -> None:
-                if state["left"] == 0:
-                    self._barrier.arrive()
-                    return
-                state["left"] -= 1
-                addr = state["addr"]
-                state["addr"] += phase.block_bytes
-                agent.read(addr, next_block, home=rank,
-                           size_bytes=phase.block_bytes)
-
-            next_block()
+            _BlockReads(agent, rank, (rank + 1) << 24, blocks,
+                        phase.block_bytes, self._barrier.arrive).next()
             return
         if isinstance(phase, ExchangePhase):
             neighbor_fn = phase.neighbors or grid_neighbors
@@ -171,39 +190,23 @@ class PhasedRun:
             if not neighbors:
                 self._barrier.arrive()
                 return
-            blocks_each = max(1, phase.bytes_per_neighbor // phase.block_bytes)
             state = {"pending": len(neighbors)}
+
+            def one_done() -> None:
+                state["pending"] -= 1
+                if state["pending"] == 0:
+                    self._barrier.arrive()
+
             mpi_send = getattr(self.system, "mpi_send", None)
             if mpi_send is not None:
                 # Cluster machines (SC45): halos are MPI messages --
                 # shared-memory in-box, Quadrics across boxes.
-                def one_done() -> None:
-                    state["pending"] -= 1
-                    if state["pending"] == 0:
-                        self._barrier.arrive()
-
                 for nbr in neighbors:
                     mpi_send(nbr, rank, phase.bytes_per_neighbor, one_done)
                 return
-
-            def start_neighbor(nbr: int) -> None:
-                st = {"left": blocks_each, "addr": (rank << 20) | (nbr << 8)}
-
-                def next_block(_txn=None) -> None:
-                    if st["left"] == 0:
-                        state["pending"] -= 1
-                        if state["pending"] == 0:
-                            self._barrier.arrive()
-                        return
-                    st["left"] -= 1
-                    addr = st["addr"]
-                    st["addr"] += phase.block_bytes
-                    agent.read(addr, next_block, home=nbr,
-                               size_bytes=phase.block_bytes)
-
-                next_block()
-
+            blocks_each = max(1, phase.bytes_per_neighbor // phase.block_bytes)
             for nbr in neighbors:
-                start_neighbor(nbr)
+                _BlockReads(agent, nbr, (rank << 20) | (nbr << 8),
+                            blocks_each, phase.block_bytes, one_done).next()
             return
         raise TypeError(f"unknown phase type {type(phase).__name__}")

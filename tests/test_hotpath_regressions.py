@@ -1,7 +1,7 @@
 """Hot-path regression tests: kernel clamp and repr fixes, link
-anti-starvation, route-table/BFS equivalence, per-shape shared route
-tables and machine size, the Read-Dirty small-machine fix, and
-parallel==serial determinism."""
+anti-starvation, route-table/BFS equivalence and next-hop coverage,
+per-shape shared route tables and machine size, the Read-Dirty
+small-machine fix, and parallel==serial determinism."""
 
 import functools
 import json
@@ -152,6 +152,75 @@ def _assert_tables_match_bfs(topology):
 def test_route_tables_match_fresh_bfs(factory):
     topology = factory()
     _assert_tables_match_bfs(topology)
+
+
+def _built_topologies():
+    """Every shape the repo builds (the standard tori and Table 1's
+    shuffle variants), each pristine and with a link failed: the first
+    edge, and for shuffle machines also their first shuffle link."""
+    from repro.analysis.shuffle import TABLE1_SHAPES
+    from repro.config.machines import _TORUS_SHAPES
+
+    pristine = [TorusTopology(shape) for shape in _TORUS_SHAPES.values()]
+    pristine += [ShuffleTopology(shape) for shape in TABLE1_SHAPES]
+    for topology in pristine:
+        yield topology
+        edges = topology.edges()
+        picks = {edges[0][:2]}
+        picks.update(e[:2] for e in edges if e[3])
+        for a, b in sorted(picks)[:2]:
+            failed = type(topology)(topology.shape)
+            try:
+                failed.fail_link(a, b)
+            except ValueError:  # a bridge: the machine keeps it
+                continue
+            yield failed
+
+
+def _assert_next_hops_exactly_off_diagonal(tables):
+    n = len(tables[0])
+    for nxt in tables[2:]:
+        for src in range(n):
+            for dst in range(n):
+                assert bool(nxt[src][dst]) == (src != dst), (src, dst)
+
+
+def test_every_built_shape_has_next_hops_exactly_off_diagonal():
+    """No next-hop row is empty except a node's own: the shuffle table
+    never needs to fall through to the base one."""
+    count = 0
+    for topology in _built_topologies():
+        _assert_next_hops_exactly_off_diagonal(_tables(topology))
+        count += 1
+    assert count > 20
+
+
+def _adjacency(n, base_edges, shuffle_edges):
+    adj = [[] for _ in range(n)]
+    for edges, shuffle in ((base_edges, False), (shuffle_edges, True)):
+        for a, b in edges:
+            adj[a].append((b, shuffle))
+            adj[b].append((a, shuffle))
+    return tuple(tuple(row) for row in adj)
+
+
+def test_hand_built_shuffle_shortcut_has_next_hops_off_diagonal():
+    # A 10-ring with one shuffle chord: the shuffle hops and the base
+    # hops differ for many pairs, and neither table has a hole.
+    ring = [(i, (i + 1) % 10) for i in range(10)]
+    tables = _route_tables(_adjacency(10, ring, [(0, 5)]))
+    assert tables[2][0][5] == (5,)
+    assert tables[3][0][5] == (1, 9)
+    _assert_next_hops_exactly_off_diagonal(tables)
+
+
+def test_shuffle_link_as_the_only_bridge_gets_no_tables():
+    """Two base triangles joined only by a shuffle link: the base-link
+    part is disconnected, so there are no tables to fall through to."""
+    adj = _adjacency(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+                     [(2, 3)])
+    with pytest.raises(ValueError, match="disconnected"):
+        _route_tables(adj)
 
 
 def test_route_tables_rebuilt_after_fail_link():
