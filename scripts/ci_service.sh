@@ -2,10 +2,11 @@
 # CI service lane (also runnable locally), in two phases:
 #
 #   1. Real-process CLI round trip: boot `serve`, submit the same
-#      builtin campaign from two tenants over HTTP, byte-compare both
-#      exports against a direct sweep, prove the shared points executed
-#      once service-wide with no 5xx, and require a clean SIGTERM drain
-#      (server exit code 0).
+#      builtin campaign from two tenants over HTTP, then from a third
+#      once both are done (fully cached, so `serve` answers it inside
+#      the POST), byte-compare all three exports against a direct
+#      sweep, prove the shared points executed once service-wide with
+#      no 5xx, and require a clean SIGTERM drain (server exit code 0).
 #   2. A chaos soak: `service-soak --chaos` boots its own deployment
 #      with the aggressive seeded ChaosPolicy and admission control,
 #      floods it from three tenants, and exits non-zero unless the
@@ -51,15 +52,22 @@ $REPRO submit smoke --url "$URL" --tenant bob --wait \
   --out "$WORK/bob.json"
 wait "$ALICE"
 
-# Both exports must be byte-identical to a direct parallel sweep.
+# A third tenant asks again once both are done: every point is cached,
+# so the job is answered inside its POST.
+$REPRO submit smoke --url "$URL" --tenant carol --wait \
+  --out "$WORK/carol.json"
+
+# All three exports must be byte-identical to a direct parallel sweep.
 $REPRO sweep smoke --jobs 2 --cache-dir "$WORK/direct-cache" \
   --export "$WORK/direct.json"
 cmp "$WORK/direct.json" "$WORK/alice.json"
 cmp "$WORK/direct.json" "$WORK/bob.json"
+cmp "$WORK/direct.json" "$WORK/carol.json"
 
 # The 8 distinct smoke points executed once service-wide: every extra
-# request from the second tenant coalesced onto an in-flight
-# computation or hit the shared cache.  And nothing 500'd.
+# request from the second and third tenants coalesced onto an
+# in-flight computation or hit the shared cache, and only the third
+# tenant's job was answered at submit.  And nothing 500'd.
 curl -fsS "$URL/stats" -o "$WORK/stats.json"
 python - "$WORK/stats.json" <<'EOF'
 import json, sys
@@ -67,9 +75,12 @@ counters = json.load(open(sys.argv[1]))["counters"]
 computed = counters.get("service.points.computed", 0)
 extra = (counters.get("service.points.coalesced", 0)
          + counters.get("service.points.cache_hits", 0))
-print(f"computed={computed} coalesced+cache_hits={extra}")
+served = counters.get("service.jobs.served_at_submit", 0)
+print(f"computed={computed} coalesced+cache_hits={extra} "
+      f"served_at_submit={served}")
 assert computed == 8, counters
-assert computed + extra == 16, counters
+assert computed + extra == 24, counters
+assert served == 1, counters
 assert counters.get("service.http.5xx", 0) == 0, counters
 EOF
 

@@ -33,14 +33,22 @@ accounted under ``service.chaos.*``, **not** ``service.http.5xx``).
 A retried ``POST /jobs`` carrying a ``submit_key`` the store has seen
 returns the existing job with 200 instead of enqueueing a duplicate.
 
-``on_submit`` is called once for every job a submit *creates*, after
-the row is committed (``serve`` uses it to wake idle workers); a
-deduped retry, a refusal or a bad spec never calls it.
+A job whose every point is a validated cache hit is answered inside
+its ``POST /jobs``: the control plane claims it as worker
+``serve-<pid>`` and runs :func:`~repro.service.worker.execute_job` on
+the loaded entries, so it returns 201 with ``state: "done"`` and
+``serve`` never simulates.
+
+``on_submit`` is called once for every created job that goes to the
+queue, after the row is committed (``serve`` uses it to wake idle
+workers); a job answered at submit, a deduped retry, a refusal or a
+bad spec never calls it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -49,14 +57,21 @@ from typing import Any, Callable
 from urllib.parse import parse_qs, urlparse
 
 from repro.campaign.cache import ResultCache
+from repro.campaign.engine import Point, expand_points
 from repro.service.chaos import ChaosEngine
 from repro.service.resilience import AdmissionController
 from repro.service.store import JobStore, TERMINAL_STATES
-from repro.service.worker import EXPORT_FORMATS, safe_tenant
+from repro.service.worker import (
+    EXPORT_FORMATS,
+    execute_job,
+    resolve_campaign,
+    safe_tenant,
+)
 
 __all__ = ["ControlPlane", "ServiceHTTPServer", "serve_http"]
 
 _MAX_BODY = 4 * 1024 * 1024  # a campaign spec, not a dataset
+_LEASE_S = 15.0  # a job answered at submit; its heartbeat extends it
 
 
 class ControlPlane:
@@ -133,20 +148,47 @@ class ControlPlane:
         }
         # Validate the campaign *before* enqueueing so a bad spec is a
         # 400 at submit time, not a failed job discovered by polling.
-        from repro.service.worker import resolve_campaign
-
         try:
-            resolve_campaign(spec)
+            points = expand_points(resolve_campaign(spec))
         except Exception as exc:
             return 400, {"error": str(exc)}
         job_id, created = self.store.submit_idempotent(
             tenant, spec, priority=priority, submit_key=submit_key
         )
-        if created:
+        if created and not self._answer_cached(job_id, points):
             self.on_submit()
         job = self.store.get(job_id)
         assert job is not None
         return (201 if created else 200), job.to_dict()
+
+    def _answer_cached(self, job_id: str, points: list[Point]) -> bool:
+        """Run a queued job to its end now if every point is a
+        validated cache hit; ``False`` leaves it for the pool.
+
+        Only the entries loaded here reach :func:`execute_job`, so an
+        eviction after the check cannot make ``serve`` simulate.  A
+        worker that claims the job first runs it, once.
+        """
+        entries = {}
+        for pt in points:
+            entry = self.cache.load(pt.key, pt.kind, pt.params)
+            if entry is None:
+                return False
+            entries[pt.key] = (entry["result"],
+                               float(entry.get("elapsed_s", 0.0)), "hit")
+
+        def fetch(pt: Point) -> tuple[dict[str, Any], float, str]:
+            self.store.bump("service.points.cache_hits")
+            return entries[pt.key]
+
+        worker = f"serve-{os.getpid()}"
+        job = self.store.claim(worker, os.getpid(), _LEASE_S, job_id=job_id)
+        if job is not None and execute_job(
+            job, self.store, fetch, self.results_dir, worker,
+            lease_s=_LEASE_S,
+        ) == "done":
+            self.store.bump("service.jobs.served_at_submit")
+        return True
 
     def job(self, job_id: str) -> tuple[int, dict[str, Any]]:
         job = self.store.get(job_id)
@@ -232,6 +274,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, a kept-alive
+    # connection waits out the client's delayed ACK (~40 ms) on each.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
     def log_message(self, fmt: str, *args: Any) -> None:

@@ -20,8 +20,9 @@ timestamps read as seconds of wall clock:
 
 Submissions draw from a small pool of tiny analytic campaign specs, so
 identical work is resubmitted constantly and the cache-hit and
-in-flight coalescing paths stay busy; a ``smoke`` probe job rides
-inside the window.
+in-flight coalescing paths stay busy; half of them are made unique so
+the worker pool (and its chaos) stays busy too.  A ``smoke`` probe job
+rides inside the window.
 
 After the drain the driver stops the service and reads the SQLite
 store -- the ground truth -- and the report is ``ok`` only if:
@@ -99,7 +100,8 @@ _STATS_INTERVAL_S = 10.0
 #: Distinct tiny inline campaign specs (analytic points, so the
 #: simulator cost is microseconds and the *service* is the thing under
 #: load).  A small pool means constant resubmission of identical work
-#: -- exactly what exercises coalescing + cache.
+#: -- exactly what exercises coalescing + cache.  Half the submissions
+#: add a fresh ``variant`` param (the runner ignores it) and so miss.
 _TEMPLATES = [
     {
         "name": f"soak-{cpus}",
@@ -268,6 +270,10 @@ def run_soak(config: SoakConfig, log: Callable[[str], None] = print,
             template = _TEMPLATES[
                 int(template_rng.integers(len(_TEMPLATES)))
             ]
+            if template_rng.random() < 0.5:
+                sweep = template["sweeps"][0]
+                template = {**template, "sweeps": [{**sweep, "base": {
+                    **sweep["base"], "variant": f"{tenant.name}-{at}"}}]}
             t0 = time.monotonic()
             try:
                 job = client.submit(template, tenant=tenant.name,
@@ -392,6 +398,7 @@ def run_soak(config: SoakConfig, log: Callable[[str], None] = print,
         if key.startswith(("service.chaos.injected.",
                            "service.admission.", "service.points."))
         or key in ("service.jobs.deduped", "service.jobs.reclaimed",
+                   "service.jobs.served_at_submit",
                    "service.worker.abandoned")
     }))
     log(f"soak: accepted={report.accepted} done={report.done} "

@@ -340,13 +340,20 @@ class JobStore:
         return None if row is None else _row_to_job(row)
 
     # -- claiming / leases ----------------------------------------------
-    def claim(self, worker: str, pid: int, lease_s: float) -> Job | None:
-        """Atomically claim the best queued job, or ``None``."""
+    def claim(self, worker: str, pid: int, lease_s: float,
+              job_id: str | None = None) -> Job | None:
+        """Atomically claim the best queued job, or ``None``.
+
+        With ``job_id``, claim that job only and only while it is
+        queued; ``None`` then means another claimant got there first.
+        """
         now = self._now()
+        where, args = ("", ()) if job_id is None else (" AND id = ?",
+                                                       (job_id,))
         with self._tx() as conn:
             row = conn.execute(
-                "SELECT * FROM jobs WHERE state = 'queued'"
-                " ORDER BY priority DESC, seq ASC LIMIT 1"
+                "SELECT * FROM jobs WHERE state = 'queued'" + where
+                + " ORDER BY priority DESC, seq ASC LIMIT 1", args
             ).fetchone()
             if row is None:
                 return None

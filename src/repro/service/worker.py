@@ -8,11 +8,11 @@ stop signal.  The loop is deliberately boring:
 1. :meth:`JobStore.claim` the best queued job (priority, then
    submission order) under a lease.  An idle worker sleeps in
    ``select`` on the deployment's wake pipe: ``serve`` writes one byte
-   when a submit commits a new job or a reclaim re-queues one, so the
-   next claim starts at once.  The pipe is level-triggered, so a byte
-   written while every worker is busy is still there when one goes
-   idle.  Without a wake (no pipe, or a job that arrived without one)
-   the worker claims again after ``poll_s``.
+   when a submit commits a job it cannot answer from the cache, or a
+   reclaim re-queues one, so the next claim starts at once.  The pipe
+   is level-triggered, so a byte written while every worker is busy is
+   still there when one goes idle.  Without a wake (no pipe, or a job
+   that arrived without one) the worker claims again after ``poll_s``.
 2. Expand its campaign spec exactly the way ``gs1280-repro sweep``
    does, then execute the points *in expansion order* through
    :func:`~repro.service.coalesce.compute_point_shared` -- cache hits
@@ -22,6 +22,10 @@ stop signal.  The loop is deliberately boring:
 3. Assemble the same :class:`~repro.campaign.engine.CampaignResult`
    the sweep CLI would and write its export atomically into the
    tenant's result namespace; ``mark_done``.
+
+Steps 2 and 3 are :func:`execute_job`, which takes points from a
+``fetch`` callable; the control plane runs it too, on a fully cached
+job inside ``POST /jobs`` (see :mod:`repro.service.server`).
 
 Because every point lands in the cache the moment it completes, a
 worker killed mid-job loses *no* completed work: the reclaimed job's
@@ -54,11 +58,12 @@ import threading
 import time
 import traceback
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.engine import (
     CampaignResult,
+    Point,
     PointOutcome,
     expand_points,
     export_csv,
@@ -84,6 +89,9 @@ _TENANT_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 #: Export formats a job may request.
 EXPORT_FORMATS = ("json", "csv")
+
+#: One point's ``(result, elapsed_s, status)`` for :func:`execute_job`.
+PointFetch = Callable[[Point], tuple[dict[str, Any], float, str]]
 
 
 def safe_tenant(tenant: str) -> str:
@@ -217,15 +225,18 @@ def _record_failure(store: JobStore, job: Job, worker: str,
 def execute_job(
     job: Job,
     store: JobStore,
-    cache: ResultCache,
-    inflight: InflightRegistry,
+    fetch: PointFetch,
     results_dir: str | Path,
     worker: str,
-    pid: int,
     lease_s: float = 15.0,
     chaos: ChaosEngine | None = None,
 ) -> str:
-    """Run one claimed job to its terminal state; returns that state."""
+    """Run one claimed job to its terminal state; returns that state.
+
+    ``fetch`` supplies each distinct point's ``(result, elapsed_s,
+    status)``: a worker computes through the shared cache, the control
+    plane hands over the entries it already loaded.
+    """
     try:
         spec = resolve_campaign(job.spec)
         export_format = str(job.spec.get("export", "json"))
@@ -263,19 +274,10 @@ def execute_job(
                         raise JobAbandoned(job.id)
                     continue
                 with registry.deltas() as delta:
-                    result, elapsed, status = compute_point_shared(
-                        inflight, cache, pt.key, pt.kind, pt.params,
-                        owner=worker, pid=pid,
-                    )
-                entries[pt.key] = (result, elapsed, status)
-                if status == "computed" and cache.byte_budget is not None:
-                    evicted = cache.evict_to_budget(
-                        protect=inflight.live_keys() | {pt.key}
-                    )
-                    if evicted:
-                        store.bump("service.cache.evicted", len(evicted))
+                    entries[pt.key] = fetch(pt)
                 if not store.record_point(job.id, worker, index,
-                                          len(points), pt.key, status,
+                                          len(points), pt.key,
+                                          entries[pt.key][2],
                                           telemetry=delta):
                     # The job was reclaimed while this point computed
                     # (stall past the lease): the result is safely in
@@ -299,8 +301,7 @@ def execute_job(
         for pt in points
     ]
     campaign_result = CampaignResult(
-        name=spec.name, outcomes=outcomes, wall_s=0.0,
-        cache_dir=str(cache.root),
+        name=spec.name, outcomes=outcomes, wall_s=0.0, cache_dir=None,
     )
     text = (export_csv(campaign_result) if export_format == "csv"
             else export_json(campaign_result))
@@ -384,6 +385,18 @@ def run_worker(
     if wake_fd is not None:
         os.set_blocking(wake_fd, False)
     preload_runners()
+
+    def fetch(pt: Point) -> tuple[dict[str, Any], float, str]:
+        outcome = compute_point_shared(inflight, cache, pt.key, pt.kind,
+                                       pt.params, owner=worker_id, pid=pid)
+        if outcome[2] == "computed" and cache.byte_budget is not None:
+            evicted = cache.evict_to_budget(
+                protect=inflight.live_keys() | {pt.key}
+            )
+            if evicted:
+                store.bump("service.cache.evicted", len(evicted))
+        return outcome
+
     handled = 0
     idle_since = time.monotonic()
     while not stop.is_set():
@@ -400,8 +413,8 @@ def run_worker(
                 break
             wake_fd = _idle_wait(stop, wake_fd, poll_s)
             continue
-        execute_job(job, store, cache, inflight, results_dir,
-                    worker_id, pid, lease_s=lease_s, chaos=engine)
+        execute_job(job, store, fetch, results_dir, worker_id,
+                    lease_s=lease_s, chaos=engine)
         handled += 1
         idle_since = time.monotonic()
     store.close()

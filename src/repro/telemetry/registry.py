@@ -91,12 +91,14 @@ class CounterRegistry:
 
         Keys are sorted, so two snapshots of identical state are
         identical objects (== and repr) -- the determinism the
-        ``--jobs`` merge relies on.
+        ``--jobs`` merge relies on.  The tables are copied first, so a
+        counter another thread registers meanwhile (``serve`` answers
+        jobs on its request threads) cannot break the iteration.
         """
         values: dict[str, int | float] = {}
-        for name, counter in self._counters.items():
+        for name, counter in self._counters.copy().items():
             values[name] = counter.value
-        for name, fn in self._probes.items():
+        for name, fn in self._probes.copy().items():
             values[name] = fn()
         return {name: values[name] for name in sorted(values)}
 

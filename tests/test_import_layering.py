@@ -15,6 +15,7 @@ simulate still import the runners before they need them.
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -37,6 +38,10 @@ from repro.experiments.runner import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODEL = ("numpy", "repro.sim", "repro.systems", "repro.network",
          "repro.coherence")
+TWO_STREAM_POINTS = {"name": "two", "sweeps": [{
+    "name": "s", "kind": "stream",
+    "base": {"kernel": "triad", "system": "GS1280"},
+    "grid": {"cpus": [1, 4]}}]}
 
 
 def run_fresh(code: str, *args: str) -> str:
@@ -100,6 +105,31 @@ class TestShellsStayModelFree:
             status, body = plane.submit({"campaign": "no-such-campaign"})
             assert status == 400, body
         """, str(tmp_path)) == []
+
+    def test_control_plane_answers_cached_submits(self, tmp_path):
+        """A fully cached job finishes inside ``submit`` -- from the
+        cache, without the model."""
+        from repro.campaign import run_campaign, spec_from_dict
+
+        run_campaign(spec_from_dict(TWO_STREAM_POINTS),
+                     cache_dir=tmp_path / "cache")
+        assert model_modules_after("""
+            import json
+            import sys
+            from pathlib import Path
+
+            from repro.campaign.cache import ResultCache
+            from repro.service.server import ControlPlane
+            from repro.service.store import JobStore
+
+            root = Path(sys.argv[1])
+            plane = ControlPlane(JobStore(root / "jobs.db"),
+                                 ResultCache(root / "cache"),
+                                 root / "results")
+            campaign = json.loads(sys.argv[2])
+            status, body = plane.submit({"campaign": campaign})
+            assert (status, body["state"]) == (201, "done"), body
+        """, str(tmp_path), json.dumps(TWO_STREAM_POINTS)) == []
 
     def test_cli_list(self):
         assert model_modules_after("""

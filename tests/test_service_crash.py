@@ -7,18 +7,22 @@ server mid-run must converge -- after a restart on the same database
 must drain cleanly with exit code 0.
 """
 
+import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
 
 from repro.campaign.engine import export_json, run_campaign
 from repro.campaign.spec import spec_from_dict
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.store import JobStore
 
 pytestmark = pytest.mark.slow
 
@@ -197,6 +201,79 @@ class TestSigkillResume:
                 proc2.wait(timeout=10)
 
         assert body == _direct_bytes(tmp_path)
+
+
+class TestSigkillWhileAnsweringAtSubmit:
+    def test_kill9_of_serve_mid_answer_resumes_byte_identical(
+        self, tmp_path
+    ):
+        """``serve`` dies holding a fully cached job it was answering
+        inside ``POST /jobs``.  The restart reclaims the dead pid's
+        claim and a worker finishes the job with the same export."""
+        spec = {"name": "cached", "sweeps": [{
+            "name": "s", "kind": "stream",
+            "base": {"kernel": "triad", "system": "GS1280"},
+            "grid": {"cpus": [1, 4]},
+        }]}
+        expected = export_json(run_campaign(
+            spec_from_dict(spec), cache_dir=tmp_path / "cache")).encode()
+        # Every store transaction of this serve sits 0.3 s on the write
+        # lock, so answering the job spans seconds.
+        hold = json.dumps({"seed": 0, "sqlite_busy_rate": 1.0,
+                           "sqlite_busy_hold_s": 0.3})
+        proc = _spawn_serve(tmp_path, "--workers", "0", "--chaos", hold)
+        held = []
+        try:
+            url = _wait_for_url(proc)
+            _drain_stdout(proc)
+            client = ServiceClient(url, timeout_s=60.0)
+            client.wait_healthy()
+
+            def submit() -> None:
+                with suppress(ServiceError):  # serve dies mid-request
+                    client.submit(spec, tenant="crash")
+
+            threading.Thread(target=submit, daemon=True).start()
+            store = JobStore(tmp_path / "jobs.db")
+            deadline = time.monotonic() + 60
+            while not held and time.monotonic() < deadline:
+                held = store.jobs_in(("claimed", "running"))
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert [job.worker for job in held] == [f"serve-{proc.pid}"]
+        assert store.get(held[0].id).state in ("claimed", "running")
+
+        proc2 = _spawn_serve(tmp_path, "--workers", "1")
+        try:
+            url2 = _wait_for_url(proc2)
+            _drain_stdout(proc2)
+            client2 = ServiceClient(url2, timeout_s=10.0)
+            client2.wait_healthy()
+            final = client2.wait(held[0].id, timeout_s=120, poll_s=0.05)
+            assert final["state"] == "done"
+            assert final["attempts"] == 2
+            events = client2.events(held[0].id)["events"]
+            body = client2.result_bytes(held[0].id)
+            proc2.send_signal(signal.SIGTERM)
+            assert proc2.wait(timeout=60) == 0
+        finally:
+            if proc2.poll() is None:
+                proc2.kill()
+                proc2.wait(timeout=10)
+
+        reclaimed = [e["data"] for e in events if e["kind"] == "reclaimed"]
+        assert reclaimed == [{"worker": f"serve-{proc.pid}",
+                              "reason": "dead-pid"}]
+        assert final["worker"].startswith("worker-")
+        assert body == expected
+        counters = store.stats_counters()
+        store.close()
+        assert "service.jobs.served_at_submit" not in counters
 
 
 class TestLeaseExpiryRace:

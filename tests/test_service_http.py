@@ -10,23 +10,40 @@ through the service are byte-identical to a direct engine run, and a
 point shared between concurrent tenants executes once service-wide.
 """
 
+import http.client
 import os
 import threading
 import time
 from contextlib import contextmanager
 from types import SimpleNamespace
+from urllib.parse import urlparse
 
 import pytest
 
+from repro.campaign import points
 from repro.campaign.builtin import builtin_campaign
 from repro.campaign.cache import ResultCache
-from repro.campaign.engine import export_csv, export_json, run_campaign
+from repro.campaign.engine import (
+    expand_points,
+    export_csv,
+    export_json,
+    run_campaign,
+)
+from repro.campaign.spec import spec_from_dict
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ControlPlane, serve_http
 from repro.service.store import JobStore
 from repro.service.worker import run_worker, wake_workers
 
 SMOKE_POINTS = 8  # 6 stream + 2 load_test points in the builtin
+TINY = {
+    "name": "tiny",
+    "sweeps": [{
+        "name": "s", "kind": "stream",
+        "base": {"kernel": "triad", "system": "GS1280"},
+        "grid": {"cpus": [1, 4]},
+    }],
+}
 
 
 @contextmanager
@@ -282,3 +299,116 @@ class TestHealthAndStats:
             assert svc.store.claim("w-new", 1, 60.0).id == job_id
             oldest = svc.client.stats()["oldest_claimed_s"]
             assert 0.0 < oldest <= time.time() - reclaimed_at
+
+
+class TestAnsweredAtSubmit:
+    """A job whose every point is cached finishes inside ``POST /jobs``,
+    through the same code path a worker runs."""
+
+    def test_identical_to_worker_run_and_direct(self, tmp_path):
+        exports = {}
+        with live_service(tmp_path / "svc", workers=1) as svc:
+            for export in ("json", "csv"):
+                # The worker's job: enqueued behind the control plane.
+                by_worker = svc.store.submit("t", {
+                    "campaign": "smoke", "fast": True, "seed": 0,
+                    "export": export})
+                assert svc.client.wait(by_worker, timeout_s=120,
+                                       poll_s=0.02)["state"] == "done"
+                job = svc.client.submit("smoke", tenant="t", export=export)
+                assert job["state"] == "done"
+                assert job["worker"] == f"serve-{os.getpid()}"
+                kinds = [e["kind"]
+                         for e in svc.client.events(job["id"])["events"]]
+                assert kinds == (["submitted", "claimed", "running"]
+                                 + ["point"] * SMOKE_POINTS + ["done"])
+                exports[export] = svc.client.result_bytes(job["id"])
+                assert exports[export] == svc.client.result_bytes(by_worker)
+            counters = svc.client.stats()["counters"]
+        direct = run_campaign(
+            builtin_campaign("smoke", fast=True, seed=0),
+            cache_dir=tmp_path / "direct-cache",
+        )
+        assert exports["json"] == export_json(direct).encode()
+        assert exports["csv"] == export_csv(direct).encode()
+        assert counters["service.jobs.served_at_submit"] == 2
+        assert counters["service.points.computed"] == SMOKE_POINTS
+        # The worker's CSV job and both answered jobs: all hits.
+        assert counters["service.points.cache_hits"] == 3 * SMOKE_POINTS
+
+    def test_worker_claiming_first_runs_the_job_once(self, tmp_path,
+                                                     monkeypatch):
+        """A polling worker claims the job between its commit and the
+        control plane's targeted claim: the job runs once, there."""
+        with live_service(tmp_path, workers=0) as svc:
+            run_campaign(spec_from_dict(TINY), cache_dir=svc.cache.root)
+            real_claim = svc.store.claim
+
+            def claim(worker, pid, lease_s, job_id=None):
+                run_worker(tmp_path / "jobs.db", svc.cache.root,
+                           svc.results_dir, "w-first", threading.Event(),
+                           idle_exit_s=0.0)
+                return real_claim(worker, pid, lease_s, job_id=job_id)
+
+            monkeypatch.setattr(svc.store, "claim", claim)
+            status, job = svc.plane.submit({"campaign": TINY})
+            assert (status, job["state"], job["worker"]) == (
+                201, "done", "w-first")
+            events = svc.store.events_since(job["id"])
+            counters = svc.store.stats_counters()
+        kinds = [e["kind"] for e in events]
+        assert kinds.count("claimed") == 1
+        assert kinds.count("done") == 1
+        assert "service.jobs.served_at_submit" not in counters
+
+    def test_eviction_after_the_check_computes_nothing(self, tmp_path,
+                                                       monkeypatch):
+        """Entries deleted between the hit check and the claim: the job
+        still finishes from what was loaded, and nothing simulates."""
+        spec = spec_from_dict(TINY)
+        with live_service(tmp_path, workers=0) as svc:
+            expected = export_json(run_campaign(
+                spec, cache_dir=svc.cache.root)).encode()
+            real_claim = svc.store.claim
+
+            def claim(*args, **kwargs):
+                for pt in expand_points(spec):
+                    svc.cache.path_for(pt.key).unlink()
+                return real_claim(*args, **kwargs)
+
+            def run_point(kind, params):
+                raise AssertionError("the control plane simulated")
+
+            monkeypatch.setattr(svc.store, "claim", claim)
+            monkeypatch.setattr(points, "run_point", run_point)
+            status, job = svc.plane.submit({"campaign": TINY})
+            assert (status, job["state"]) == (201, "done")
+            body = svc.client.result_bytes(job["id"])
+            counters = svc.store.stats_counters()
+            assert len(svc.cache) == 0
+        assert body == expected
+        assert "service.points.computed" not in counters
+        assert counters["service.points.cache_hits"] == 2
+
+
+class TestKeepAlive:
+    def test_reused_connection_does_not_stall(self, tmp_path):
+        """Headers and body leave as two writes; with Nagle's algorithm
+        on, each response on a kept-alive connection waits out the
+        client's delayed ACK (~40 ms)."""
+        with live_service(tmp_path, workers=0) as svc:
+            job_id = svc.client.submit(TINY, tenant="t")["id"]
+            url = urlparse(svc.url)
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=10.0)
+            try:
+                start = time.perf_counter()
+                for _ in range(10):
+                    conn.request("GET", f"/jobs/{job_id}")
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+                elapsed = time.perf_counter() - start
+            finally:
+                conn.close()
+        assert elapsed < 10 * 0.040 / 2

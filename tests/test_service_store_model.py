@@ -14,7 +14,10 @@ to an in-memory reference.  The properties the service relies on:
   ``False`` and appends no event;
 * a duplicate ``submit_key`` maps to one row;
 * ``claim`` hands out the highest-priority, earliest-submitted queued
-  job.
+  job;
+* ``claim(job_id=...)`` takes that job only while it is queued, never
+  one that is claimed, running or terminal, and an untargeted
+  ``claim`` never hands out a job a targeted claim holds.
 
 The example tests in ``test_service_store.py`` pin individual
 transitions; this suite checks that no interleaving breaks them.
@@ -74,6 +77,7 @@ class JobStoreMachine(RuleBasedStateMachine):
         self.store = JobStore(Path(self.tmp) / "jobs.db", now=self.clock)
         self.model: dict[str, RefJob] = {}
         self.terminal: dict[str, str] = {}
+        self.targeted: set[str] = set()  # held by a targeted claim
 
     def teardown(self) -> None:
         self.store.close()
@@ -134,6 +138,7 @@ class JobStoreMachine(RuleBasedStateMachine):
                 ref.events += 1
                 expected.append(job_id)
         assert sorted(self.store.reclaim(check_pid=False)) == sorted(expected)
+        self.targeted.difference_update(expected)
 
     # -- worker side ------------------------------------------------------
     @rule(worker=st.sampled_from(WORKERS),
@@ -148,6 +153,22 @@ class JobStoreMachine(RuleBasedStateMachine):
             return
         job_id = min(queued)[2]
         assert job is not None and job.id == job_id
+        assert job_id not in self.targeted
+        self._claimed(job_id, worker, lease_s)
+
+    @rule(job_id=jobs, worker=st.sampled_from(WORKERS),
+          lease_s=st.sampled_from([1.0, 5.0]))
+    def claim_targeted(self, job_id, worker, lease_s):
+        """The control plane's claim of the one job it is answering."""
+        job = self.store.claim(worker, 1, lease_s, job_id=job_id)
+        if self.model[job_id].state != "queued":
+            assert job is None
+            return
+        assert job is not None and job.id == job_id
+        self._claimed(job_id, worker, lease_s)
+        self.targeted.add(job_id)
+
+    def _claimed(self, job_id: str, worker: str, lease_s: float) -> None:
         ref = self.model[job_id]
         ref.state, ref.worker = "claimed", worker
         ref.lease_deadline = self.clock.t + lease_s

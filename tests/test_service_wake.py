@@ -16,6 +16,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.campaign.cache import ResultCache
+from repro.campaign.engine import run_campaign
+from repro.campaign.spec import spec_from_dict
 from repro.parallel import WorkerSupervisor
 from repro.service.app import ServeConfig
 from repro.service.resilience import AdmissionController
@@ -34,6 +36,17 @@ TINY = {
         "grid": {"cpus": [1]},
     }],
 }
+
+
+def distinct_tiny(i: int) -> dict:
+    """A one-point campaign that no other ``i < 24`` shares, so it is
+    never cached when submitted: a cached job is answered inside its
+    ``POST /jobs`` and never reaches the queue or the wake pipe."""
+    kernel, cpus = ("copy", "scale", "add", "triad")[i % 4], 2 ** (i // 4)
+    return {"name": f"tiny-{i}", "sweeps": [{
+        "name": "s", "kind": "stream",
+        "base": {"kernel": kernel, "system": "GS1280", "cpus": cpus},
+    }]}
 
 
 def wait_for(predicate, timeout_s: float = DEADLINE_S) -> bool:
@@ -131,8 +144,8 @@ class TestWakeCompletesJobs:
 
     def test_no_job_is_left_for_the_poll(self, tmp_path):
         """More workers than cores share one pipe while two threads
-        submit: every job finishes well before a 30 s poll could fire,
-        and each runs once."""
+        submit distinct campaigns: every job finishes well before a
+        30 s poll could fire, and each runs once, on a worker."""
         n_workers, per_submitter = 4, 12
         wake_r, wake_w = os.pipe()
         os.set_blocking(wake_w, False)
@@ -149,10 +162,10 @@ class TestWakeCompletesJobs:
                 tmp_path / "results", name, stop,
                 poll_s=LONG_POLL_S, wake_fd=wake_r))
 
-        def submit(tenant):
+        def submit(first):
             for j in range(per_submitter):
-                status, job = plane.submit({"campaign": TINY,
-                                            "tenant": tenant})
+                status, job = plane.submit(
+                    {"campaign": distinct_tiny(first + j)})
                 assert status == 201
                 ids.append(job["id"])
                 time.sleep(0.002 * (j % 3))
@@ -160,8 +173,8 @@ class TestWakeCompletesJobs:
         workers = [threading.Thread(target=work, args=(f"w{i}",),
                                     daemon=True)
                    for i in range(n_workers)]
-        submitters = [threading.Thread(target=submit, args=(tenant,))
-                      for tenant in ("a", "b")]
+        submitters = [threading.Thread(target=submit, args=(first,))
+                      for first in (0, per_submitter)]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
@@ -185,6 +198,7 @@ class TestWakeCompletesJobs:
             store.close()
         assert not any(thread.is_alive() for thread in workers)
         assert sum(handled) == len(ids)
+        assert "service.jobs.served_at_submit" not in store.stats_counters()
 
 
 class TestIdleWait:
@@ -223,8 +237,8 @@ class TestIdleWait:
 
 
 class TestOnSubmit:
-    """``on_submit`` fires once per job a submit creates, and never
-    for a submit that created nothing."""
+    """``on_submit`` fires once per job a submit creates and queues,
+    and never for a submit that created nothing or answered it."""
 
     def plane(self, tmp_path, calls, admission=None):
         return ControlPlane(JobStore(tmp_path / "jobs.db"),
@@ -247,6 +261,15 @@ class TestOnSubmit:
         plane.draining.set()
         assert plane.submit({"campaign": TINY})[0] == 503
         assert len(calls) == 1
+        plane.store.close()
+
+    def test_job_answered_at_submit_does_not_wake(self, tmp_path):
+        calls = []
+        plane = self.plane(tmp_path, calls)
+        run_campaign(spec_from_dict(TINY), cache_dir=tmp_path / "cache")
+        status, job = plane.submit({"campaign": TINY})
+        assert (status, job["state"]) == (201, "done")
+        assert calls == []
         plane.store.close()
 
     def test_throttled_submit_does_not_wake(self, tmp_path):

@@ -115,6 +115,41 @@ class TestRegistry:
         assert total(snap, "packets", ".link.") == 7
         assert total(snap, "accesses") == 9
 
+    def test_snapshot_while_another_thread_registers(self):
+        """``serve`` snapshots on one request thread while another
+        registers its first counter of a kind."""
+        import sys
+        import threading
+
+        reg = CounterRegistry()
+        for i in range(200):
+            reg.counter(f"pre.{i}")
+        stop = threading.Event()
+        errors = []
+
+        def snapshots():
+            try:
+                while not stop.is_set():
+                    reg.snapshot()
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        reader = threading.Thread(target=snapshots)
+        try:
+            reader.start()
+            for i in range(20000):
+                reg.counter(f"new.{i}")
+                if errors:
+                    break
+        finally:
+            stop.set()
+            reader.join(timeout=10.0)
+            sys.setswitchinterval(switch)
+        assert not reader.is_alive()
+        assert errors == []
+
 
 # ---------------------------------------------------------------------------
 # EventTracer
