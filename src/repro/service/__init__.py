@@ -43,7 +43,7 @@ simulators -- schedulable, restartable, observable:
   queue-depth bounds, priority-ordered load shedding) on the server
   absorb them; ``service-soak --chaos`` proves the loop closed.
 
-Everything is stdlib-only (sqlite3, http.server, urllib); the model
+Everything is stdlib-only (sqlite3, http.server, http.client); the model
 and cache layers below are untouched, which is what makes the service
 round-trip provably byte-identical to a direct ``sweep`` run.
 """

@@ -2,8 +2,16 @@
 
 Used by ``gs1280-repro submit``/``status``, the soak driver, and the
 tests; nothing here knows about simulators -- it is JSON over
-``urllib`` with explicit timeouts and an exception type that keeps the
-HTTP status attached (the soak's fail-on-5xx gate reads it).
+``http.client`` with explicit timeouts and an exception type that keeps
+the HTTP status attached (the soak's fail-on-5xx gate reads it).
+
+Each calling thread keeps one kept-alive HTTP/1.1 connection per
+client, so a poll costs one round trip on an open socket rather than a
+TCP handshake and a fresh server handler thread.  A connection the
+server has closed (idle timeout, ``Connection: close``, shutdown) is
+noticed before reuse and replaced; one that failed mid-request is
+closed, so the next attempt -- if the retry policy makes one -- runs on
+a fresh connection.  Nothing is ever resent behind the policy's back.
 
 Hardening (see docs/resilience.md):
 
@@ -24,13 +32,15 @@ Hardening (see docs/resilience.md):
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
 from typing import Any, Callable, Mapping
+from urllib.parse import urlsplit
 
 from repro.service.resilience import RetryPolicy
 
@@ -51,6 +61,13 @@ class ServiceError(RuntimeError):
         self.retry_after = retry_after
 
 
+def _readable(sock: Any) -> bool:
+    """Zero-timeout readability check (``poll``, so no fd-number cap)."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class ServiceClient:
     """One service endpoint, e.g. ``ServiceClient("http://127.0.0.1:8180")``."""
 
@@ -61,8 +78,38 @@ class ServiceClient:
         self.retry = retry
         self.retries = 0  # lifetime count of retried requests (telemetry)
         self._rng = random.Random(retry.seed if retry is not None else None)
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"not an http(s) URL: {base_url!r}")
+        self._connection_class = (http.client.HTTPSConnection
+                                  if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._netloc = url.netloc
+        self._prefix = url.path
+        self._local = threading.local()  # .conn: this thread's connection
 
     # -- transport -------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, replaced if the server has
+        closed it while idle (a readable idle socket is either end of
+        file or stray bytes; neither can carry the next request)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._connection_class(self._netloc,
+                                          timeout=self.timeout_s)
+            self._local.conn = conn
+        elif conn.sock is not None and _readable(conn.sock):
+            conn.close()  # the next request() connects afresh
+        return conn
+
+    def close(self) -> None:
+        """Close the calling thread's connection (a later request opens
+        a new one).  A thread's connection also closes when the thread
+        or the client is gone."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+
     def _request_once(self, method: str, path: str,
                       body: Mapping[str, Any] | None = None,
                       raw: bool = False) -> Any:
@@ -71,36 +118,35 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(dict(body)).encode()
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method, headers=headers
-        )
+        conn = self._connection()
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                payload = response.read()
-        except urllib.error.HTTPError as exc:
+            conn.request(method, self._prefix + path, body=data,
+                         headers=headers)
+            response = conn.getresponse()
+            payload = response.read()
+        except (http.client.HTTPException, OSError) as exc:
+            conn.close()  # its state is unknown; never reuse it
+            raise ServiceError(
+                f"{method} {path} failed: {exc}", status=None
+            ) from exc
+        if not 200 <= response.status < 300:
             detail = ""
             try:
-                detail = json.loads(exc.read()).get("error", "")
+                detail = json.loads(payload).get("error", "")
             except Exception:  # noqa: BLE001 - error body is best-effort
                 pass
             retry_after = None
             try:
-                header = exc.headers.get("Retry-After")
+                header = response.getheader("Retry-After")
                 if header is not None:
                     retry_after = float(header)
             except (TypeError, ValueError):
                 pass
             raise ServiceError(
-                f"{method} {path} -> {exc.code}"
+                f"{method} {path} -> {response.status}"
                 + (f": {detail}" if detail else ""),
-                status=exc.code, retry_after=retry_after,
-            ) from None
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise ServiceError(
-                f"{method} {path} failed: {exc}", status=None
-            ) from exc
+                status=response.status, retry_after=retry_after,
+            )
         return payload if raw else json.loads(payload)
 
     def _request(self, method: str, path: str,

@@ -14,9 +14,15 @@ Routes (all JSON unless noted)::
     GET    /stats               queue depths, service counters, cache
                                 accounting, worker pids, uptime
 
-Implementation notes: ``ThreadingHTTPServer`` handles each request on
-a thread, and :class:`~repro.service.store.JobStore` keeps per-thread
+Implementation notes: ``ThreadingHTTPServer`` handles each connection
+on a thread, and :class:`~repro.service.store.JobStore` keeps per-thread
 SQLite connections, so no shared mutable state lives in the handlers.
+Connections are kept alive (HTTP/1.1): every request body is read in
+full before routing, so no answer -- an injected fault, a 404, a
+refusal -- leaves unread bytes for the next request to be parsed from;
+a body the server will not read is answered with ``Connection: close``.
+An idle connection is closed after ``_Handler.timeout`` seconds, and
+``server_close()`` shuts every open one.
 Submissions during drain are refused with 503 so ``SIGTERM`` means "no
 new work, finish what's running".  Every response path is accounted:
 ``service.http.requests`` / ``service.http.5xx`` feed the soak's
@@ -49,11 +55,12 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.campaign.cache import ResultCache
@@ -72,6 +79,13 @@ __all__ = ["ControlPlane", "ServiceHTTPServer", "serve_http"]
 
 _MAX_BODY = 4 * 1024 * 1024  # a campaign spec, not a dataset
 _LEASE_S = 15.0  # a job answered at submit; its heartbeat extends it
+
+
+class Export(NamedTuple):
+    """A finished job's export, as ``GET /jobs/{id}/result`` sends it."""
+
+    body: bytes
+    content_type: str
 
 
 class ControlPlane:
@@ -211,15 +225,17 @@ class ControlPlane:
             "done": job.state in TERMINAL_STATES,
         }
 
-    def result(self, job_id: str) -> tuple[int, dict[str, Any]] | bytes:
+    def result(self, job_id: str) -> tuple[int, dict[str, Any]] | Export:
         job = self.store.get(job_id)
         if job is None:
             return 404, {"error": f"no job {job_id!r}"}
         if job.state != "done" or not job.result_path:
             return 409, {"error": f"job {job_id} is {job.state}, "
                                   "not done"}
+        content_type = ("text/csv" if job.result_path.endswith(".csv")
+                        else "application/json")
         try:
-            return Path(job.result_path).read_bytes()
+            return Export(Path(job.result_path).read_bytes(), content_type)
         except OSError:
             return 410, {"error": "result export is gone "
                                   "(evicted or relocated)"}
@@ -274,9 +290,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # An abandoned kept-alive connection frees its thread (and that
+    # thread's SQLite connection) after this many idle seconds.
+    timeout = 30.0
     # Headers and body go out as two writes; with Nagle on, a kept-alive
     # connection waits out the client's delayed ACK (~40 ms) on each.
     disable_nagle_algorithm = True
+    body_bytes = b""  # the current request's body, read by _dispatch
 
     # -- plumbing --------------------------------------------------------
     def log_message(self, fmt: str, *args: Any) -> None:
@@ -286,23 +306,24 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(self, status: int, payload: dict[str, Any],
                    injected: bool = False) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        retry_after = payload.get("retry_after")
+        self._send(status, body, "application/json", injected=injected,
+                   retry_after=(f"{max(0.0, retry_after):.3f}"
+                                if status == 429 and retry_after is not None
+                                else None))
+
+    def _send(self, status: int, body: bytes, content_type: str,
+              injected: bool = False, retry_after: str | None = None) -> None:
         self._account(status, injected=injected)
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        retry_after = payload.get("retry_after")
-        if status == 429 and retry_after is not None:
-            self.send_header("Retry-After", f"{max(0.0, retry_after):.3f}")
+        if retry_after is not None:
+            self.send_header("Retry-After", retry_after)
+        if self.close_connection:  # announce it: the client reconnects
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
-
-    def _send_bytes(self, payload: bytes, content_type: str) -> None:
-        self._account(200)
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
 
     def _account(self, status: int, injected: bool = False) -> None:
         plane = self.server.plane
@@ -316,13 +337,36 @@ class _Handler(BaseHTTPRequestHandler):
             plane.store.bump("service.chaos.injected.http_500" if injected
                              else "service.http.5xx")
 
-    def _body(self) -> dict[str, Any] | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0 or length > _MAX_BODY:
-            return None
+    def _read_body(self) -> bytes | None:
+        """Consume this request's whole body.  One the server cannot or
+        will not read is refused here and the connection closed, so its
+        bytes are never parsed as the next request; that returns
+        ``None``."""
         try:
-            parsed = json.loads(self.rfile.read(length))
-        except (ValueError, OSError):
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if (0 <= length <= _MAX_BODY
+                and "Transfer-Encoding" not in self.headers):
+            try:
+                data = self.rfile.read(length) if length else b""
+            except OSError:
+                data = b""
+            if len(data) < length:  # timed out or cut off mid-body
+                self.close_connection = True
+            return data
+        self.close_connection = True
+        if length > _MAX_BODY:
+            self._send_json(413, {"error": f"body over {_MAX_BODY} bytes"})
+        else:
+            self._send_json(400, {"error": "body must be framed by a "
+                                           "Content-Length"})
+        return None
+
+    def _body(self) -> dict[str, Any] | None:
+        try:
+            parsed = json.loads(self.body_bytes)
+        except ValueError:
             return None
         return parsed if isinstance(parsed, dict) else None
 
@@ -375,8 +419,10 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         route = self._route_name(method, parts)
         try:
-            if self._inject_chaos(route):
+            body = self._read_body()
+            if body is None or self._inject_chaos(route):
                 return
+            self.body_bytes = body
             if plane.admission is not None:
                 with plane.admission.track():
                     return self._route(plane, method, url, parts, route)
@@ -430,13 +476,8 @@ class _Handler(BaseHTTPRequestHandler):
         if (method == "GET" and len(parts) == 3
                 and parts[0] == "jobs" and parts[2] == "result"):
             outcome = plane.result(parts[1])
-            if isinstance(outcome, bytes):
-                job = plane.store.get(parts[1])
-                content_type = (
-                    "text/csv" if job and str(job.result_path)
-                    .endswith(".csv") else "application/json"
-                )
-                return self._send_bytes(outcome, content_type)
+            if isinstance(outcome, Export):
+                return self._send(200, *outcome)
             return self._send_json(*outcome)
         return self._send_json(
             404, {"error": f"no route {method} {url.path}"}
@@ -453,7 +494,12 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the control plane for handlers."""
+    """ThreadingHTTPServer carrying the control plane for handlers.
+
+    It remembers its open connections so :meth:`server_close` can shut
+    them: a stopped server must not go on answering kept-alive clients
+    from handler threads that outlive it.
+    """
 
     daemon_threads = True
 
@@ -462,6 +508,28 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.plane = plane
         self.verbose = verbose
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            open_now = list(self._open)
+        for sock in open_now:
+            try:  # the handler's next read sees end of file and exits
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 def serve_http(plane: ControlPlane, host: str = "127.0.0.1",

@@ -31,6 +31,9 @@ store -- the ground truth -- and the report is ``ok`` only if:
 * **zero failed or cancelled jobs**;
 * **zero duplicates** -- store rows equal accepted jobs, so every
   retried ``POST /jobs`` resolved to exactly one row;
+* **zero refused submits** -- no submission ended in an error other
+  than a 429 (a 400 from a desynchronized connection, a 5xx or a
+  transport failure that outlasted the retries);
 * **isolation** -- the greedy tenant got >= 1 429 while the steady
   tenant's p99 submit latency stayed under the bound;
 * **byte identity** -- the probe exports byte-identically to a direct
@@ -136,6 +139,8 @@ class SoakReport:
     lost: int = 0
     store_rows: int = 0
     throttled_429: dict[str, int] = field(default_factory=dict)
+    # Non-429 submit errors by status ("transport" when there was none).
+    submit_errors: dict[str, int] = field(default_factory=dict)
     client_retries: int = 0
     steady_p99_s: float = 0.0
     probe_identical: bool = False
@@ -150,6 +155,7 @@ class SoakReport:
             and self.failed == 0
             and self.cancelled == 0
             and self.store_rows == self.accepted
+            and not self.submit_errors
             and self.throttled_429.get("greedy", 0) >= 1
             and self.steady_p99_s <= _STEADY_SUBMIT_P99_S
             and self.probe_identical
@@ -263,6 +269,7 @@ def run_soak(config: SoakConfig, log: Callable[[str], None] = print,
         while True:
             at = gen.next_ns()  # "ns" domain == wall seconds here
             if at >= config.duration_s:
+                client.close()
                 return
             delay = t_start + at - time.monotonic()
             if delay > 0:
@@ -283,6 +290,11 @@ def run_soak(config: SoakConfig, log: Callable[[str], None] = print,
                 with lock:
                     if exc.status == 429:
                         report.throttled_429[tenant.name] += 1
+                    else:
+                        key = ("transport" if exc.status is None
+                               else str(exc.status))
+                        report.submit_errors[key] = (
+                            report.submit_errors.get(key, 0) + 1)
                 continue
             dt = time.monotonic() - t0
             with lock:
@@ -302,6 +314,7 @@ def run_soak(config: SoakConfig, log: Callable[[str], None] = print,
                 sort_keys=True,
             ) + "\n")
             sink.flush()
+        client.close()
 
     submitters = [
         threading.Thread(target=_submitter, args=(index,),
@@ -328,6 +341,7 @@ def run_soak(config: SoakConfig, log: Callable[[str], None] = print,
                         poll_s=0.1)
     if final["state"] == "done":
         probe_bytes = steady.result_bytes(probe["id"])
+    steady.close()
     log(f"soak: probe {probe['id']} -> {final['state']}")
 
     for thread in submitters:
@@ -405,6 +419,7 @@ def run_soak(config: SoakConfig, log: Callable[[str], None] = print,
         f"failed={report.failed} cancelled={report.cancelled} "
         f"lost={report.lost} rows={report.store_rows} "
         f"greedy_429={report.throttled_429['greedy']} "
+        f"submit_errors={report.submit_errors} "
         f"steady_p99={report.steady_p99_s:.3f}s "
         f"retries={report.client_retries} "
         f"probe_identical={report.probe_identical} "

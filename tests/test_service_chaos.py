@@ -198,6 +198,21 @@ class TestLiveInjection:
             counters = svc.store.stats_counters()
         assert counters["service.chaos.injected.http_drop"] == 1
 
+    def test_drop_on_a_kept_alive_connection_is_one_transport_error(
+            self, tmp_path):
+        """The drop lands on the connection ``healthz`` opened; the
+        client reports it and sends nothing again on its own."""
+        policy = ChaosPolicy(seed=1, http_drop_rate=1.0)
+        with chaos_service(tmp_path, policy) as svc:
+            client = ServiceClient(svc.url, timeout_s=5.0)
+            assert client.healthz()["ok"] is True
+            with pytest.raises(ServiceError) as excinfo:
+                client.stats()
+            assert excinfo.value.status is None
+            assert client.healthz()["ok"] is True  # on a new connection
+            counters = svc.store.stats_counters()
+        assert counters["service.chaos.injected.http_drop"] == 1
+
     def test_latency_injection_still_serves(self, tmp_path):
         policy = ChaosPolicy(seed=1, http_latency_rate=1.0,
                              http_latency_s=0.01)

@@ -11,7 +11,9 @@ point shared between concurrent tenants executes once service-wide.
 """
 
 import http.client
+import json
 import os
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -30,8 +32,10 @@ from repro.campaign.engine import (
     run_campaign,
 )
 from repro.campaign.spec import spec_from_dict
+from repro.service.chaos import ChaosEngine, ChaosPolicy
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import ControlPlane, serve_http
+from repro.service.resilience import AdmissionController
+from repro.service.server import _MAX_BODY, ControlPlane, _Handler, serve_http
 from repro.service.store import JobStore
 from repro.service.worker import run_worker, wake_workers
 
@@ -75,13 +79,15 @@ def live_service(tmp_path, workers=2, cache_budget=None):
         thread.start()
     host, port = server.server_address[:2]
     url = f"http://{host}:{port}"
+    client = ServiceClient(url, timeout_s=10.0)
     try:
         yield SimpleNamespace(
-            url=url, client=ServiceClient(url, timeout_s=10.0),
+            url=url, client=client,
             plane=plane, store=store, cache=cache,
-            results_dir=results_dir,
+            results_dir=results_dir, server=server,
         )
     finally:
+        client.close()
         stop.set()
         server.shutdown()
         server.server_close()
@@ -412,3 +418,168 @@ class TestKeepAlive:
             finally:
                 conn.close()
         assert elapsed < 10 * 0.040 / 2
+
+
+def count_connections(monkeypatch, server):
+    """Count the connections ``server`` accepts from now on, and give
+    an event that is set each time one of them is closed."""
+    accepted = []
+    closed = threading.Event()
+    real_process, real_shutdown = server.process_request, \
+        server.shutdown_request
+
+    def process_request(request, client_address):
+        accepted.append(client_address)
+        real_process(request, client_address)
+
+    def shutdown_request(request):
+        real_shutdown(request)
+        closed.set()
+
+    monkeypatch.setattr(server, "process_request", process_request)
+    monkeypatch.setattr(server, "shutdown_request", shutdown_request)
+    return accepted, closed
+
+
+class TestConnectionReuse:
+    def test_one_connection_for_many_requests(self, tmp_path, monkeypatch):
+        with live_service(tmp_path, workers=0) as svc:
+            accepted, _ = count_connections(monkeypatch, svc.server)
+            job_id = svc.client.submit(TINY, tenant="t")["id"]
+            for _ in range(19):
+                assert svc.client.job(job_id)["id"] == job_id
+        assert len(accepted) == 1
+
+    def test_threads_sharing_a_client_get_their_own(self, tmp_path,
+                                                   monkeypatch):
+        with live_service(tmp_path, workers=0) as svc:
+            accepted, _ = count_connections(monkeypatch, svc.server)
+            job_ids = [svc.store.submit(f"t{i}", {
+                "campaign": "smoke", "fast": True, "seed": i,
+                "export": "json"}) for i in range(2)]
+            seen: dict[str, list[str]] = {job_id: [] for job_id in job_ids}
+
+            def fetch(job_id: str) -> None:
+                for _ in range(20):
+                    seen[job_id].append(svc.client.job(job_id)["id"])
+                svc.client.close()  # this thread's connection only
+
+            threads = [threading.Thread(target=fetch, args=(job_id,))
+                       for job_id in job_ids]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert len(accepted) == 2
+        for job_id, answers in seen.items():
+            assert answers == [job_id] * 20
+
+    def test_error_answers_leave_the_connection_usable(self, tmp_path,
+                                                       monkeypatch):
+        with live_service(tmp_path, workers=0) as svc:
+            accepted, _ = count_connections(monkeypatch, svc.server)
+            job_id = svc.client.submit(TINY, tenant="t")["id"]
+            with pytest.raises(ServiceError) as err:
+                svc.client.job("nope")
+            assert err.value.status == 404
+            with pytest.raises(ServiceError) as err:
+                svc.client.result_bytes(job_id)
+            assert err.value.status == 409
+            svc.plane.admission = AdmissionController(
+                queue_limit=0, shed_retry_after_s=0.25)
+            with pytest.raises(ServiceError) as err:
+                svc.client.submit(TINY, tenant="t")
+            assert (err.value.status, err.value.retry_after) == (429, 0.25)
+            svc.plane.admission = None
+            # An injected 500 answers before any route reads the POST
+            # body; the body must not be parsed as the next request.
+            svc.plane.chaos = ChaosEngine(
+                ChaosPolicy(seed=1, http_error_rate=1.0), scope="server")
+            with pytest.raises(ServiceError) as err:
+                svc.client.submit(TINY, tenant="t")
+            assert err.value.status == 500
+            svc.plane.chaos = None
+            assert svc.client.job(job_id)["id"] == job_id
+            assert svc.client.submit(TINY, tenant="t")["id"] != job_id
+        assert len(accepted) == 1
+
+    def test_refused_port_is_a_transport_error(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=5.0)
+        with pytest.raises(ServiceError) as err:
+            client.healthz()
+        assert err.value.status is None
+
+    def test_request_after_server_idle_close_reconnects(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.1)
+        with live_service(tmp_path, workers=0) as svc:
+            accepted, closed = count_connections(monkeypatch, svc.server)
+            assert svc.client.healthz()["ok"]
+            assert closed.wait(10.0)  # the server timed the socket out
+            assert svc.client.healthz()["ok"]  # no retry policy needed
+        assert len(accepted) == 2
+
+    def test_server_close_ends_kept_alive_connections(self, tmp_path):
+        with live_service(tmp_path, workers=0) as svc:
+            assert svc.client.healthz()["ok"]
+            svc.server.shutdown()
+            svc.server.server_close()
+            with pytest.raises(ServiceError) as err:
+                svc.client.healthz()
+            assert err.value.status is None
+
+
+class TestRequestFraming:
+    """Every answer leaves a kept-alive connection at a request
+    boundary, or closes it and says so."""
+
+    @pytest.mark.parametrize("path,status", [("/jobs", 500),
+                                             ("/no/such/route", 404)])
+    def test_unread_post_body_is_consumed(self, tmp_path, path, status):
+        with live_service(tmp_path, workers=0) as svc:
+            if status == 500:  # chaos answers before routing
+                svc.plane.chaos = ChaosEngine(
+                    ChaosPolicy(seed=1, http_error_rate=1.0),
+                    scope="server")
+            url = urlparse(svc.url)
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=10.0)
+            try:
+                conn.request("POST", path, body=json.dumps(
+                    {"campaign": TINY}).encode(),
+                    headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                response.read()
+                assert (response.status, response.will_close) == (
+                    status, False)
+                sock = conn.sock
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert json.loads(response.read())["ok"] is True
+                assert conn.sock is sock
+            finally:
+                conn.close()
+
+    @pytest.mark.parametrize("header,status", [
+        (("Content-Length", str(_MAX_BODY + 1)), 413),
+        (("Content-Length", "many"), 400),
+        (("Transfer-Encoding", "chunked"), 400),
+    ])
+    def test_unreadable_body_closes_the_connection(self, tmp_path, header,
+                                                   status):
+        with live_service(tmp_path, workers=0) as svc:
+            url = urlparse(svc.url)
+            with socket.create_connection((url.hostname, url.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                             f"{header[0]}: {header[1]}\r\n\r\n".encode())
+                answer = b""
+                while chunk := sock.recv(65536):
+                    answer += chunk  # until the server closes
+            status_line, _, rest = answer.partition(b"\r\n")
+            assert status_line.startswith(f"HTTP/1.1 {status} ".encode())
+            assert b"\r\nConnection: close\r\n" in rest
+            assert svc.client.healthz()["ok"]

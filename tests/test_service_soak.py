@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.service.chaos import ChaosPolicy
-from repro.service.soak import LEASE_S, SoakConfig, run_soak
+from repro.service.soak import LEASE_S, SoakConfig, SoakReport, run_soak
 from repro.service.store import JobStore
 
 pytestmark = pytest.mark.slow
@@ -44,3 +44,14 @@ def test_short_soak_is_ok_and_matches_store(tmp_path, monkeypatch, chaos):
     injected = any(key.startswith("service.chaos.injected.")
                    for key in report.counters)
     assert injected == (chaos is not None)
+
+
+def test_a_refused_submit_fails_the_soak():
+    """A submit error other than 429 -- a 400 from a desynchronized
+    connection, a 5xx that outlasted the retries -- fails ``ok``."""
+    report = SoakReport(accepted=1, done=1, store_rows=1,
+                        throttled_429={"greedy": 1}, probe_identical=True,
+                        serve_exit=0)
+    assert report.ok
+    report.submit_errors["400"] = 1
+    assert not report.ok
