@@ -78,20 +78,17 @@ class CoherenceAgent:
         # Packet-dispatch table: op -> (handler delay, handler), with
         # the per-op latencies hoisted out of the machine config.  DATA
         # and INVAL_ACK stay out of the table (they dispatch
-        # immediately, no scheduled hop).
+        # immediately, no scheduled hop).  Ops with the same role share
+        # one entry, so each handler is bound once per agent.
+        home = (machine.directory_lookup_ns, self._home_handle)
+        owner = (machine.cache_probe_ns, self._owner_handle)
         self._sched_ops = {
-            CoherenceOp.READ:
-                (machine.directory_lookup_ns, self._home_handle),
-            CoherenceOp.READ_MOD:
-                (machine.directory_lookup_ns, self._home_handle),
-            CoherenceOp.VICTIM:
-                (machine.directory_lookup_ns, self._home_handle),
-            CoherenceOp.FORWARD_READ:
-                (machine.cache_probe_ns, self._owner_handle),
-            CoherenceOp.FORWARD_MOD:
-                (machine.cache_probe_ns, self._owner_handle),
-            CoherenceOp.INVALIDATE:
-                (machine.cache_probe_ns, self._sharer_handle),
+            CoherenceOp.READ: home,
+            CoherenceOp.READ_MOD: home,
+            CoherenceOp.VICTIM: home,
+            CoherenceOp.FORWARD_READ: owner,
+            CoherenceOp.FORWARD_MOD: owner,
+            CoherenceOp.INVALIDATE: (machine.cache_probe_ns, self._sharer_handle),
         }
         # Invariant checker (repro.check); None unless a CheckSession
         # attached the system.

@@ -62,7 +62,10 @@ class Zbox:
         self.node = node
         self.config = config
         self.n_controllers = n_controllers
-        self.rdrams = [RdramArray(config) for _ in range(n_controllers)]
+        # A loop, not a comprehension: one frame less per Zbox built.
+        self.rdrams = rdrams = []
+        for _ in range(n_controllers):
+            rdrams.append(RdramArray(config))
         self._bus_free_at = [0.0] * n_controllers
         # Sustained rates, hoisted out of the frozen config dataclass:
         # refresh, bank turnarounds and read/write bubbles keep the

@@ -129,18 +129,23 @@ class TorusFabric(FabricBase):
         # (src, dst) -> directed link, for mid-run fault injection.
         self._link_pairs: dict[tuple[int, int], Link] = {}
         priority = getattr(config, "vc_class_priority", True)
+        # A 64P machine runs the edge loop 128 times: bind each router's
+        # receive, the drop hook and the config scalars once, not per link.
+        routers, links, pairs = self.routers, self._links, self._link_pairs
+        receivers = [router.receive for router in routers]
+        bandwidth, wire_ns = config.link_bw_gbps, config.wire_ns
+        on_drop = self.packet_dropped
         for a, b, cls, shuffle in topology.edges():
-            wire = config.wire_ns[cls]
-            fwd = Link(sim, a, b, config.link_bw_gbps, wire, cls, shuffle,
-                       class_priority=priority)
-            rev = Link(sim, b, a, config.link_bw_gbps, wire, cls, shuffle,
-                       class_priority=priority)
-            fwd._on_drop = rev._on_drop = self.packet_dropped
-            self.routers[a].attach_link(fwd, self.routers[b].receive)
-            self.routers[b].attach_link(rev, self.routers[a].receive)
-            self._links.extend((fwd, rev))
-            self._link_pairs[(a, b)] = fwd
-            self._link_pairs[(b, a)] = rev
+            wire = wire_ns[cls]
+            fwd = Link(sim, a, b, bandwidth, wire, cls, shuffle, priority)
+            rev = Link(sim, b, a, bandwidth, wire, cls, shuffle, priority)
+            fwd._on_drop = rev._on_drop = on_drop
+            routers[a].attach_link(fwd, receivers[b])
+            routers[b].attach_link(rev, receivers[a])
+            links.append(fwd)
+            links.append(rev)
+            pairs[a, b] = fwd
+            pairs[b, a] = rev
 
     def inject(self, packet: Packet) -> None:
         self.routers[packet.src].inject(packet)

@@ -97,10 +97,13 @@ class Link:
         # list: it holds a few packets, so pop(0) is cheap, and an empty
         # list costs 56 bytes where a deque pre-allocates a 64-slot block
         # (most of a 64P machine's memory once route tables are shared).
-        self._queues: list[list] = [[] for _ in range(len(DRAIN_ORDER))]
-        # The same lists in drain order: _pick_next walks this tuple
-        # directly instead of indexing _queues per class per call.
-        self._qorder = tuple(self._queues[cls] for cls in DRAIN_ORDER)
+        # Spelled out: a 64P machine builds 256 links, and a
+        # comprehension here would cost each one two extra frames.
+        request, forward, response, io = [], [], [], []
+        self._queues: list[list] = [request, forward, response, io]
+        # The same lists in drain order (DRAIN_ORDER): _pick_next walks
+        # this tuple directly instead of indexing _queues per class.
+        self._qorder = (response, forward, request, io)
         self._queued_bytes = 0
         self._queued_count = 0
         self._busy = False

@@ -155,8 +155,9 @@ class Topology:
         """Add an undirected link; parallel links are collapsed."""
         if a == b:
             raise ValueError(f"self-link at node {a}")
-        if any(n == b for n, _, _ in self._adj[a]):
-            return  # collapse parallel physical links (no extra graph edge)
+        for n, _, _ in self._adj[a]:
+            if n == b:
+                return  # collapse parallel physical links (no extra graph edge)
         self._adj[a].append((b, link_class, shuffle))
         self._adj[b].append((a, link_class, shuffle))
 

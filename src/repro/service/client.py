@@ -68,6 +68,16 @@ def _readable(sock: Any) -> bool:
     return bool(poller.poll(0))
 
 
+def _early_response(conn: http.client.HTTPConnection
+                    ) -> http.client.HTTPResponse | None:
+    """The answer the server sent before it stopped reading the request
+    ``conn`` failed to send, or None if there is none."""
+    try:
+        return conn.getresponse()
+    except (http.client.HTTPException, OSError):
+        return None
+
+
 class ServiceClient:
     """One service endpoint, e.g. ``ServiceClient("http://127.0.0.1:8180")``."""
 
@@ -120,9 +130,18 @@ class ServiceClient:
             headers["Content-Type"] = "application/json"
         conn = self._connection()
         try:
-            conn.request(method, self._prefix + path, body=data,
-                         headers=headers)
-            response = conn.getresponse()
+            try:
+                conn.request(method, self._prefix + path, body=data,
+                             headers=headers)
+            except (BrokenPipeError, ConnectionResetError):
+                # The server may have answered (a 413 for a body over
+                # its limit) and closed before taking the whole body;
+                # that answer can still be waiting to be read.
+                response = _early_response(conn)
+                if response is None:
+                    raise
+            else:
+                response = conn.getresponse()
             payload = response.read()
         except (http.client.HTTPException, OSError) as exc:
             conn.close()  # its state is unknown; never reuse it

@@ -78,6 +78,10 @@ from repro.service.worker import (
 __all__ = ["ControlPlane", "ServiceHTTPServer", "serve_http"]
 
 _MAX_BODY = 4 * 1024 * 1024  # a campaign spec, not a dataset
+#: An oversize body up to this size is read and dropped after its 413,
+#: so the client finishes its upload and reads the answer; a larger one
+#: is cut off (the client may then see a broken pipe instead).
+_DISCARD_MAX = 16 * _MAX_BODY
 _LEASE_S = 15.0  # a job answered at submit; its heartbeat extends it
 
 
@@ -358,10 +362,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.close_connection = True
         if length > _MAX_BODY:
             self._send_json(413, {"error": f"body over {_MAX_BODY} bytes"})
+            self._discard(length)
         else:
             self._send_json(400, {"error": "body must be framed by a "
                                            "Content-Length"})
         return None
+
+    def _discard(self, length: int) -> None:
+        """Read and drop a refused body the client may still be sending.
+        Closing with its bytes unread would reset the connection, and
+        the reset can destroy the answer before the client reads it.
+        The answer is complete, so the write side closes first: a
+        client that sends no body sees the end of it at once."""
+        if length > _DISCARD_MAX:
+            return
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while length > 0:
+                chunk = self.rfile.read(min(length, 1 << 16))
+                if not chunk:
+                    return
+                length -= len(chunk)
+        except OSError:
+            pass
 
     def _body(self) -> dict[str, Any] | None:
         try:

@@ -2,9 +2,10 @@
 
 Every stochastic workload in this package draws from a named substream so
 that (a) runs are bit-for-bit reproducible given a seed and (b) adding a
-new consumer of randomness does not perturb existing ones.  Substreams are
-derived from a root seed with ``numpy.random.SeedSequence.spawn``-style
-keying.
+new consumer of randomness does not perturb existing ones.  A substream
+is keyed by its entropy words ``(root seed, hash of the name, *keys)``,
+which seed a ``numpy.random.SeedSequence``; each word tuple is mixed once
+per process and its PCG64 seed state reused (see docs/hotpath.md).
 
 :class:`BoundedInts` serves scalar ``integers(0, n)`` draws from raw
 uint32 blocks, for hot loops that pay numpy's per-call overhead on
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["BoundedInts", "RngFactory"]
 
@@ -30,6 +32,45 @@ _BLOCK = 64
 def _name_key(name: str) -> int:
     # Stable string -> int hashing (Python's hash() is salted per run).
     return sum(ord(ch) * 257**i for i, ch in enumerate(name)) % (2**31)
+
+
+@functools.lru_cache(maxsize=1024)
+def _seed_state(words: tuple[int, ...]) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, uint64)``: PCG64's seed.
+
+    Mixing a SeedSequence is most of the cost of a stream, and a process
+    asks for the same streams again and again (every point of a sweep
+    rebuilds its pickers), so the result is kept, read-only.  Negative
+    words raise SeedSequence's ValueError, which is never cached.
+    """
+    # SeedSequence splits each int into little-endian uint32 words,
+    # so when every word fits in one, a uint32 array is the same
+    # entropy and skips the per-int coercion.  Otherwise the list
+    # goes in as is: wide keys split as before and negative ones
+    # raise.
+    entropy: list[int] | np.ndarray = list(words)
+    if all(0 <= w < _U32 for w in words):
+        entropy = np.array(words, dtype=np.uint32)
+    state = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+    state.flags.writeable = False
+    return state
+
+
+class _SeededState(ISeedSequence):
+    """Hands ``PCG64`` a seed state that ``_seed_state`` already made.
+
+    ``PCG64`` asks its seed for ``generate_state(4, uint64)`` once, at
+    construction, and copies the answer.  That is the only request this
+    seed can answer; any other raises rather than return another state.
+    """
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds a PCG64 seed: 4 uint64 words only")
+        return self._state
 
 
 class RngFactory:
@@ -48,17 +89,9 @@ class RngFactory:
 
     def stream(self, name: str, *keys: int) -> np.random.Generator:
         """Return a generator for substream ``name`` with integer keys."""
-        words = [self.seed, _name_key(name), *[int(k) for k in keys]]
-        # SeedSequence splits each int into little-endian uint32 words,
-        # so when every word fits in one, a uint32 array is the same
-        # entropy and skips the per-int coercion.  Otherwise the list
-        # goes in as is: wide keys split as before and negative ones
-        # raise SeedSequence's ValueError.
-        entropy: list[int] | np.ndarray = words
-        if all(0 <= w < _U32 for w in words):
-            entropy = np.array(words, dtype=np.uint32)
+        words = (self.seed, _name_key(name), *map(int, keys))
         return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy))
+            np.random.PCG64(_SeededState(_seed_state(words)))
         )
 
 

@@ -376,6 +376,49 @@ def test_repeat_64p_build_is_small():
     assert size <= 1 << 20, f"a 64P machine traced {size / 2**20:.2f} MiB"
 
 
+def test_link_vc_layouts_follow_message_classes_and_drain_order():
+    """Link.__init__ spells out its VC lists: ``_queues`` is indexed by
+    MessageClass value and ``_qorder`` holds the same lists in
+    DRAIN_ORDER."""
+    from repro.network.link import DRAIN_ORDER
+
+    link = Link(Simulator(), 0, 1, 6.4, 5.0, LinkClass.MODULE)
+    assert sorted(MessageClass.NAMES) == list(range(len(link._queues)))
+    assert len({id(queue) for queue in link._queues}) == len(link._queues)
+    assert all(mine is link._queues[cls]
+               for mine, cls in zip(link._qorder, DRAIN_ORDER, strict=True))
+
+
+def test_repeat_64p_build_mixes_each_stream_once(monkeypatch):
+    """A second build of the fig15 64P point reuses the seed states of
+    its 64 picker streams: two builds mix 64 SeedSequences, not 128."""
+    import numpy as np
+
+    from repro.sim import RngFactory
+    from repro.sim.rng import _seed_state
+    from repro.workloads.loadtest import make_random_remote_picker
+
+    mixed = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            mixed.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    _seed_state.cache_clear()
+    first_picks = []
+    for _build in range(2):
+        GS1280System(64)
+        factory = RngFactory(5)
+        pickers = [make_random_remote_picker(factory, cpu, 64)
+                   for cpu in range(64)]
+        first_picks.append([pick() for pick in pickers])
+    info = _seed_state.cache_info()
+    assert (len(mixed), info.misses, info.hits) == (64, 64, 64)
+    assert first_picks[0] == first_picks[1]
+
+
 # ----------------------------------------------------------------------
 # average_read_dirty_latency on small machines
 # ----------------------------------------------------------------------

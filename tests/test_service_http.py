@@ -34,7 +34,7 @@ from repro.campaign.engine import (
 from repro.campaign.spec import spec_from_dict
 from repro.service.chaos import ChaosEngine, ChaosPolicy
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.resilience import AdmissionController
+from repro.service.resilience import AdmissionController, RetryPolicy
 from repro.service.server import _MAX_BODY, ControlPlane, _Handler, serve_http
 from repro.service.store import JobStore
 from repro.service.worker import run_worker, wake_workers
@@ -532,6 +532,32 @@ class TestConnectionReuse:
             assert err.value.status is None
 
 
+    @pytest.mark.parametrize("discard_max", [None, 0],
+                             ids=["read-and-dropped", "cut-off"])
+    def test_oversize_submit_gets_its_413_once(self, tmp_path, monkeypatch,
+                                               discard_max):
+        """A spec over the body limit reaches the client as its 413,
+        uploaded once even under a retry policy, whether the server
+        reads the refused body or cuts it off unread; the client's next
+        request runs on a fresh connection."""
+        if discard_max is not None:
+            monkeypatch.setattr("repro.service.server._DISCARD_MAX",
+                                discard_max)
+        with live_service(tmp_path, workers=0) as svc:
+            client = ServiceClient(svc.url, timeout_s=10.0, retry=RetryPolicy(
+                max_attempts=3, base_s=0.01, cap_s=0.02, seed=0))
+            accepted, _ = count_connections(monkeypatch, svc.server)
+            with pytest.raises(ServiceError) as err:
+                client.submit("x" * (_MAX_BODY + 10), tenant="t")
+            assert err.value.status == 413
+            assert client.retries == 0
+            assert len(accepted) == 1
+            assert svc.store.stats_counters()["service.http.requests"] == 1
+            assert client.submit(TINY, tenant="t")["state"]
+            client.close()
+        assert len(accepted) == 2
+
+
 class TestRequestFraming:
     """Every answer leaves a kept-alive connection at a request
     boundary, or closes it and says so."""
@@ -560,6 +586,23 @@ class TestRequestFraming:
                 response = conn.getresponse()
                 assert json.loads(response.read())["ok"] is True
                 assert conn.sock is sock
+            finally:
+                conn.close()
+
+    def test_oversize_body_is_read_before_the_close(self, tmp_path):
+        """A client that sends its whole body before it reads (plain
+        ``http.client``, urllib) gets the 413: the server reads and drops
+        the refused body instead of resetting the connection under it."""
+        with live_service(tmp_path, workers=0) as svc:
+            url = urlparse(svc.url)
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=10.0)
+            try:
+                conn.request("POST", "/jobs", body=b"x" * (_MAX_BODY + 10))
+                response = conn.getresponse()
+                assert json.loads(response.read())["error"].startswith(
+                    "body over")
+                assert (response.status, response.will_close) == (413, True)
             finally:
                 conn.close()
 
