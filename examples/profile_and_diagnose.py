@@ -1,7 +1,7 @@
-"""The paper's methodology, as a toolkit: profile a workload with the
-DCPI-style sampler, read the machine with Xmesh, and explain the IPC
-with the counter-driven breakdown -- the same three instruments the
-author used to explain every result in the paper.
+"""The paper's methodology, as a toolkit: read a CPU's misses off the
+machine's always-counting monitors, read the whole machine with Xmesh,
+and explain the IPC with the counter-driven breakdown -- the same three
+instruments the author used to explain every result in the paper.
 
 Scenario: an application runs "slower than expected" on a 16P GS1280.
 We diagnose it the way Section 5 does.
@@ -11,13 +11,9 @@ Run::
     python examples/profile_and_diagnose.py
 """
 
+from repro.coherence.messages import CoherenceOp
 from repro.config import GS1280Config
-from repro.cpu import (
-    BenchmarkCharacter,
-    IpcModel,
-    LoadGenerator,
-    SamplingProfiler,
-)
+from repro.cpu import BenchmarkCharacter, IpcModel, LoadGenerator
 from repro.sim import RngFactory
 from repro.systems import GS1280System
 from repro.workloads.hotspot import make_hotspot_picker
@@ -36,17 +32,25 @@ def main() -> None:
             outstanding=4,
         ).start()
 
-    # Instrument CPU 5 with the sampling profiler and the whole machine
-    # with Xmesh.
-    profiler = SamplingProfiler(system.sim, system.agent(5))
-    profiler.start()
+    # Watch the whole machine with Xmesh.
     monitor = XmeshMonitor(system, interval_ns=1000.0)
     monitor.start()
     system.run(until_ns=12000.0)
 
-    print("Step 1 -- where does CPU 5's time go? (sampling profile)")
-    print(profiler.profile.report())
-    print("\n=> almost all samples are remote-memory stalls.\n")
+    print("Step 1 -- where do CPU 5's misses go? (the machine's counters)")
+    cpu5 = system.agent(5)
+    system.register_probes()
+    counters = system.registry.snapshot()
+    # Node 5's directory sees every request homed in CPU 5's memory,
+    # so it bounds how many of CPU 5's own reads stayed local.
+    local = counters["node5.directory.requests"]
+    reads = cpu5.completed[CoherenceOp.READ]
+    print(f"CPU 5: {reads} reads completed, mean latency "
+          f"{cpu5.mean_latency_ns(CoherenceOp.READ):.0f} ns")
+    print(f"requests served by node 5's directory: {local}; "
+          f"by node 0's: {counters['node0.directory.requests']}")
+    print("\n=> none of CPU 5's reads is local: every one goes to the "
+          "memory behind node 0.\n")
 
     print("Step 2 -- what does the machine look like? (Xmesh)")
     zbox = monitor.mean_zbox_utilization()

@@ -7,7 +7,7 @@ subsystems share the no-op handle pattern:
 * :data:`NULL_CHECKER` -- the shared disabled handle.  ``enabled`` is
   False and ``attach`` does nothing, so systems built without a session
   leave every component's ``_check`` slot ``None`` and the hot paths
-  pay one ``is None`` test (the BENCH_PR1 guard covers this).
+  pay one ``is None`` test (perfbench's ``fabric-64p`` runs this path).
 * :class:`CheckSession` -- a live session.  Systems constructed while
   one is installed get one :class:`~repro.check.invariants.SystemChecker`
   each, wired into their simulator, fabric, links, routers, Zboxes and

@@ -4,7 +4,6 @@ and the trace-driven functional core."""
 from repro.cpu.functional import FunctionalCore, TraceStats, synthetic_trace
 from repro.cpu.ipc import BenchmarkCharacter, IpcModel, IpcResult
 from repro.cpu.loadgen import GeneratorStats, LoadGenerator
-from repro.cpu.profiler import SampleProfile, SamplingProfiler
 
 __all__ = [
     "BenchmarkCharacter",
@@ -13,8 +12,6 @@ __all__ = [
     "IpcModel",
     "IpcResult",
     "LoadGenerator",
-    "SampleProfile",
-    "SamplingProfiler",
     "TraceStats",
     "synthetic_trace",
 ]

@@ -59,6 +59,9 @@ def _measure(system_factory, with_io: bool, window_ns: float):
 
 
 def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
+    # Io7Chip draws DMA addresses from one process-wide counter; restart
+    # it so the result does not depend on what ran earlier in the process.
+    Io7Chip._addr = 0
     window = 6000.0 if fast else 16000.0
     rows = []
     interference = {}

@@ -3,12 +3,14 @@
 Usage::
 
     gs1280-repro list
-    gs1280-repro run fig13 [--full] [--seed N]
-    gs1280-repro trace fig15 [-o fig15.trace.json] [--counters-out c.json]
+    gs1280-repro run fig13 [--full] [--seed N] [--json]
+                 [--trace-out t.json] [--counters-out c.json]
     gs1280-repro all [--full] [--jobs N]
     gs1280-repro export results.json [--full] [--jobs N]
+    gs1280-repro chart fig15 -o fig15.svg [--full]
     gs1280-repro sweep <spec.json|builtin> [--jobs N] [--cache-dir D]
-                 [--resume] [--fresh] [--export out.json|out.csv]
+                 [--fresh] [--expect-cached] [--export out.json|out.csv]
+    gs1280-repro capacity [--system S] [--cpus N] [--mix M] [--json-out F]
     gs1280-repro fuzz --seeds 100 [--fast] [--faults] [--replay '<json>']
     gs1280-repro oracle [--full] [--jobs N]
     gs1280-repro serve [--port P] [--workers N] [--db F] [--cache-dir D]
@@ -23,11 +25,12 @@ worker processes.  Experiments are pure functions of their id, fidelity
 and seed, and results are merged back in id order, so the output (text
 or JSON) is identical to a serial run -- only faster.
 
-``trace`` (or ``run`` with ``--trace-out`` / ``--counters-out``) runs
-the experiment under a live telemetry session: every machine it builds
-is instrumented, and the packet/transaction trace exports as Chrome
+``run`` with ``--trace-out`` / ``--counters-out`` runs the experiment
+under a live telemetry session: every machine it builds is
+instrumented, and the packet/transaction trace exports as Chrome
 ``trace_event`` JSON (open in ``chrome://tracing`` or Perfetto) next to
-a full counter report.
+a full counter report.  ``perfbench/run.py --trace 1`` is the
+per-layer cost profile of the simulator itself.
 
 ``sweep`` expands a declarative parameter grid (a built-in campaign
 name or a spec JSON file, see :mod:`repro.campaign`) into independent
@@ -35,6 +38,8 @@ points, executes only the points missing from the content-addressed
 result cache, and can export the assembled grid as JSON or CSV.
 Campaigns are resumable by construction -- each point is persisted the
 moment it completes -- so an interrupted run costs nothing.
+``capacity`` bisects the largest user population a machine sustains
+at its p99 SLOs.
 
 ``serve`` boots the simulation-as-a-service control plane (SQLite job
 queue + HTTP/JSON API + worker process pool, see :mod:`repro.service`
@@ -81,25 +86,19 @@ def _run_timed(exp_id: str, fast: bool, seed: int):
 
 
 def _run_traced(args) -> int:
-    """``trace <exp>`` and ``run --trace-out/--counters-out``: execute
-    one experiment under a live telemetry session and export."""
+    """``run --trace-out/--counters-out``: execute one experiment under
+    a live telemetry session and export."""
     from repro import telemetry
     from repro.experiments.base import format_result
 
-    if args.command == "trace":
-        trace_out = args.out or f"{args.exp_id}.trace.json"
-        interval = args.sample_interval_ns
-    else:
-        trace_out = args.trace_out
-        interval = 1000.0
+    trace_out = args.trace_out
     counters_out = args.counters_out
-    with telemetry.session(trace=trace_out is not None,
-                           sample_interval_ns=interval) as sess:
+    with telemetry.session(trace=trace_out is not None) as sess:
         start = time.time()
         result = run_experiment(args.exp_id, fast=not args.full,
                                 seed=args.seed)
         elapsed = time.time() - start
-        if getattr(args, "json", False):
+        if args.json:
             from repro.experiments.export import result_to_json
 
             print(result_to_json(result))
@@ -391,69 +390,6 @@ def _run_oracle(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _run_bench(args) -> int:
-    """``bench``: the fig15/64P hot-path load point, optionally under
-    cProfile (``--profile N`` prints the top-N functions by own time).
-
-    This is the in-package twin of ``benchmarks/bench_perf_hotpath.py``
-    (which also does baseline capture and regression gating); the CLI
-    lane exists so a profile of the *installed* tree is one command,
-    with no checkout of the benchmarks directory needed.
-    """
-    import time
-
-    from repro import fastpath
-    from repro.sim import RngFactory
-    from repro.systems import GS1280System
-    from repro.workloads.closed_loop import run_closed_loop
-    from repro.workloads.loadtest import make_random_remote_picker
-
-    n_cpus = 16 if args.quick else 64
-    warmup_ns, window_ns = (1000.0, 2000.0) if args.quick \
-        else (2000.0, 5000.0)
-
-    def run_point():
-        system = GS1280System(n_cpus)
-        rng_factory = RngFactory(args.seed)
-        pickers = [
-            make_random_remote_picker(rng_factory, cpu, n_cpus)
-            for cpu in range(n_cpus)
-        ]
-        result = run_closed_loop(system, pickers, outstanding=16,
-                                 warmup_ns=warmup_ns, window_ns=window_ns)
-        return system, result
-
-    # --no-fastpath forces the scalar path; otherwise the ambient
-    # setting (GS1280_FASTPATH) stands rather than being overridden.
-    fast = fastpath.is_enabled() and not args.no_fastpath
-    with fastpath.toggled(fast):
-        if args.profile:
-            import cProfile
-            import pstats
-
-            profiler = cProfile.Profile()
-            start = time.perf_counter()
-            profiler.enable()
-            system, result = run_point()
-            profiler.disable()
-            wall_s = time.perf_counter() - start
-            stats = pstats.Stats(profiler).sort_stats("tottime")
-            stats.print_stats(args.profile)
-        else:
-            start = time.perf_counter()
-            system, result = run_point()
-            wall_s = time.perf_counter() - start
-
-    events = system.sim.events_processed
-    print(f"bench: {n_cpus}P load point, fastpath "
-          f"{'on' if fast else 'off'}: "
-          f"{events:,} events in {wall_s:.2f}s "
-          f"({events / wall_s:,.0f} events/s), "
-          f"{result.completed:,} transactions, "
-          f"latency {result.latency_ns:.1f} ns")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gs1280-repro",
@@ -475,19 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--trace-out", metavar="PATH",
                        help="run under telemetry; write the Chrome "
                        "trace JSON to PATH")
-    trace_p = sub.add_parser(
-        "trace", help="run one experiment under telemetry and export "
-        "a Chrome trace")
-    trace_p.add_argument("exp_id", choices=experiment_ids())
-    trace_p.add_argument("-o", "--out", metavar="PATH",
-                         help="trace output (default <exp_id>.trace.json)")
-    trace_p.add_argument("--counters-out", metavar="PATH",
-                         help="also write the counter report JSON")
-    trace_p.add_argument("--full", action="store_true",
-                         help="full-fidelity run (slower)")
-    trace_p.add_argument("--seed", type=int, default=0)
-    trace_p.add_argument("--sample-interval-ns", type=float, default=1000.0,
-                         help="interval-sampler cadence in simulated ns")
     all_p = sub.add_parser("all", help="run every experiment")
     all_p.add_argument("--full", action="store_true")
     all_p.add_argument("--seed", type=int, default=0)
@@ -511,10 +434,6 @@ def main(argv: list[str] | None = None) -> int:
                          default=".gs1280-cache",
                          help="result cache directory "
                          "(default .gs1280-cache)")
-    sweep_p.add_argument("--resume", action="store_true",
-                         help="resume an interrupted campaign (this is "
-                         "the default behaviour: completed points are "
-                         "already cached; the flag documents intent)")
     sweep_p.add_argument("--fresh", action="store_true",
                          help="ignore cached results and recompute "
                          "every point (entries are rewritten)")
@@ -667,19 +586,6 @@ def main(argv: list[str] | None = None) -> int:
                           help="longer measurement windows")
     oracle_p.add_argument("--jobs", type=int, default=2,
                           help="fan-out width for the jobs-identity leg")
-    bench_p = sub.add_parser(
-        "bench", help="run the fig15/64P hot-path load point "
-        "(optionally under cProfile)")
-    bench_p.add_argument("--profile", type=int, default=0, metavar="N",
-                         help="profile the run and print the top-N "
-                              "functions by own time")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="16P with short windows (smoke/profile "
-                              "shape, not a benchmark)")
-    bench_p.add_argument("--no-fastpath", action="store_true",
-                         help="run with the hot-path batching pass "
-                              "disabled (the scalar oracle path)")
-    bench_p.add_argument("--seed", type=int, default=0)
     chart_p = sub.add_parser("chart", help="render one figure as SVG")
     chart_p.add_argument("exp_id")
     chart_p.add_argument("-o", "--out", required=True,
@@ -708,8 +614,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_fuzz(args)
     if args.command == "oracle":
         return _run_oracle(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "export":
         from repro.experiments.export import export_results
 
@@ -732,9 +636,7 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.out).write_text(chart_from_result(result).render())
         print(f"wrote {args.out}")
         return 0
-    if args.command == "trace" or (
-        args.command == "run" and (args.counters_out or args.trace_out)
-    ):
+    if args.command == "run" and (args.counters_out or args.trace_out):
         return _run_traced(args)
     if args.command == "run" and args.json:
         from repro.experiments.export import result_to_json

@@ -427,7 +427,7 @@ class Simulator:
                 # telemetry probe sampling ``pending`` or ``stats()``
                 # from inside a callback sees exact counts; one int add
                 # and attribute store per event is below measurement
-                # noise on this loop (see BENCH_PR6.json).
+                # noise on this loop.
                 self._events_processed += 1
                 if counting:
                     processed += 1

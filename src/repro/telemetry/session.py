@@ -6,7 +6,8 @@ Two implementations share the interface:
   False and ``tracer`` is None, so instrumented hot paths reduce to one
   ``is None`` check and systems skip probe registration, samplers and
   stall counters entirely.  This is the default; building machines with
-  it must cost nothing measurable (the BENCH_PR1 guard).
+  it must cost nothing measurable (perfbench's ``fabric-64p`` runs this
+  path).
 * :class:`TelemetrySession` -- a live session.  Systems constructed
   while one is installed attach themselves: their components get the
   tracer, per-VC stall counters appear in their registries, and an

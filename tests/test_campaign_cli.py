@@ -54,13 +54,6 @@ class TestSweepCli:
         assert sweep("smoke", "--cache-dir", cache, "--fresh") == 0
         assert "8 to compute" in capsys.readouterr().out
 
-    def test_resume_flag_accepted(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        assert sweep("smoke", "--cache-dir", cache) == 0
-        capsys.readouterr()
-        assert sweep("smoke", "--cache-dir", cache, "--resume",
-                     "--expect-cached") == 0
-
     def test_csv_export(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert sweep("smoke", "--cache-dir", str(tmp_path / "c"),

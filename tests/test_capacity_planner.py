@@ -128,12 +128,10 @@ class TestCampaignPoints:
 
 
 class TestExt05:
-    def test_fast_experiment_answers_for_two_sizes(self):
+    def test_fast_experiment_answers_for_two_sizes(self, experiments):
         """Acceptance: ext05 reports max users at the p99 SLO for >= 2
         machine sizes plus a degraded leg."""
-        from repro.experiments.registry import run_experiment
-
-        result = run_experiment("ext05", fast=True, seed=0)
+        result = experiments["ext05"]
         assert result.exp_id == "ext05"
         healthy = [r for r in result.rows if r[1] == "healthy"]
         degraded = [r for r in result.rows if r[1] == "degraded"]

@@ -83,52 +83,52 @@ class TestColumnAccess:
 class TestSimulationExperiments:
     """Fabric-simulation experiments (seconds each)."""
 
-    def test_fig12(self):
-        result = run_experiment("fig12", fast=True)
+    def test_fig12(self, experiments):
+        result = experiments["fig12"]
         avg_row = result.rows[-1]
         assert avg_row[0] == "average"
         assert 3.4 <= avg_row[2] / avg_row[1] <= 4.6
 
-    def test_fig13(self):
-        result = run_experiment("fig13", fast=True)
+    def test_fig13(self, experiments):
+        result = experiments["fig13"]
         assert max(abs(r[5]) for r in result.rows) < 20
 
-    def test_fig15(self):
-        result = run_experiment("fig15", fast=True)
+    def test_fig15(self, experiments):
+        result = experiments["fig15"]
         labels = {r[0] for r in result.rows}
         assert "GS1280/16P" in labels and "GS320/16P" in labels
 
-    def test_fig18_shuffle_gains(self):
-        result = run_experiment("fig18", fast=True)
+    def test_fig18_shuffle_gains(self, experiments):
+        result = experiments["fig18"]
         assert "torus" in {r[0] for r in result.rows}
 
-    def test_fig20_low_utilization(self):
-        result = run_experiment("fig20", fast=True)
+    def test_fig20_low_utilization(self, experiments):
+        result = experiments["fig20"]
         means = [r[1] for r in result.rows]
         assert sum(means) / len(means) < 15.0
 
-    def test_fig22_memory_phases_visible(self):
-        result = run_experiment("fig22", fast=True)
+    def test_fig22_memory_phases_visible(self, experiments):
+        result = experiments["fig22"]
         assert max(r[1] for r in result.rows) > 15.0
 
-    def test_fig23_gups_gap(self):
-        result = run_experiment("fig23", fast=True)
+    def test_fig23_gups_gap(self, experiments):
+        result = experiments["fig23"]
         row16 = next(r for r in result.rows if r[0] == 16)
         assert row16[1] > 4 * row16[2]
 
-    def test_fig24_direction_split(self):
-        result = run_experiment("fig24", fast=True)
+    def test_fig24_direction_split(self, experiments):
+        result = experiments["fig24"]
         mean_ns = sum(r[2] for r in result.rows) / len(result.rows)
         mean_ew = sum(r[3] for r in result.rows) / len(result.rows)
         assert mean_ew > mean_ns
 
-    def test_fig26_striping_gain(self):
-        result = run_experiment("fig26", fast=True)
+    def test_fig26_striping_gain(self, experiments):
+        result = experiments["fig26"]
         striped = max(r[2] for r in result.rows if r[0] == "striped")
         plain = max(r[2] for r in result.rows if r[0] == "non-striped")
         assert 1.25 <= striped / plain <= 2.2
 
-    def test_fig27_detects_cpu0(self):
-        result = run_experiment("fig27", fast=True)
+    def test_fig27_detects_cpu0(self, experiments):
+        result = experiments["fig27"]
         flags = {r[0] for r in result.rows if r[2] == "HOT"}
         assert flags == {0}

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.experiments.registry import run_experiment
-
 
 @pytest.mark.slow
 class TestExt01TailLatency:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("ext01", fast=True)
+    def result(self, experiments):
+        return experiments["ext01"]
 
     def test_percentiles_ordered(self, result):
         for row in result.rows:
@@ -33,8 +31,8 @@ class TestExt01TailLatency:
 @pytest.mark.slow
 class TestExt02IoContention:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("ext02", fast=True)
+    def result(self, experiments):
+        return experiments["ext02"]
 
     def test_gs1280_isolates_io(self, result):
         loss = {r[0]: r[4] for r in result.rows}
@@ -52,8 +50,8 @@ class TestExt02IoContention:
 @pytest.mark.slow
 class TestExt03Shuffle16:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("ext03", fast=True)
+    def result(self, experiments):
+        return experiments["ext03"]
 
     def test_both_cablings_measured(self, result):
         assert {r[0] for r in result.rows} == {"torus", "shuffle"}

@@ -17,7 +17,6 @@ from repro.check import checking
 from repro.check.fuzz import run_traffic
 from repro.coherence.retry import RetryPolicy
 from repro.experiments.ext04_failover import FAIL_LINKS, RETRY
-from repro.experiments.registry import run_experiment
 from repro.faults import FaultSchedule
 from repro.sim import RngFactory
 from repro.systems import GS1280System
@@ -72,8 +71,8 @@ class TestRunFailover:
 @pytest.mark.slow
 class TestExt04Acceptance:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("ext04", fast=True)
+    def result(self, experiments):
+        return experiments["ext04"]
 
     def test_recovers_within_ten_percent_of_static_baseline(self, result):
         # headers: ..., "recovery %" at index 5

@@ -204,7 +204,7 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# Disabled fast path (the BENCH_PR1 guard's correctness side)
+# Disabled fast path: telemetry off leaves no instrumentation behind
 # ---------------------------------------------------------------------------
 class TestDisabledPath:
     def test_default_handle_is_the_shared_noop(self):
@@ -330,12 +330,13 @@ class TestParallelCarryBack:
 # ---------------------------------------------------------------------------
 class TestTraceExport:
     def test_trace_subcommand_exports_valid_chrome_trace(self, tmp_path):
+        """``run fig12 --trace-out PATH --counters-out PATH``."""
         from repro.experiments.runner import main
 
         trace_path = tmp_path / "fig12.trace.json"
         counters_path = tmp_path / "fig12.counters.json"
         assert main([
-            "trace", "fig12", "-o", str(trace_path),
+            "run", "fig12", "--trace-out", str(trace_path),
             "--counters-out", str(counters_path),
         ]) == 0
         assert current_telemetry() is NULL_TELEMETRY  # restored
