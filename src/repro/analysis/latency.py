@@ -44,18 +44,18 @@ def warm_read_latency(
 ) -> float:
     """Latency of a warm (open-page) read from ``cpu`` to ``home``."""
     system = system_factory()
-    out: dict[str, float] = {}
-    state = {"n": 0}
+    agent = system.agent(cpu)
+    out: list[float] = []
 
-    def on_complete(txn) -> None:
-        state["n"] += 1
-        out["latency"] = txn.latency_ns
-        if state["n"] < 2:  # first access warms the DRAM page
-            system.agent(cpu).read(address, on_complete, home=home)
+    def warm(txn) -> None:
+        out.append(txn.latency_ns)
 
-    system.agent(cpu).read(address, on_complete, home=home)
+    def cold(_txn) -> None:  # the first access opens the DRAM page
+        agent.read(address, warm, home=home)
+
+    agent.read(address, cold, home=home)
     system.run()
-    return out["latency"]
+    return out[0]
 
 
 def latency_map(system_factory: Callable[[], SystemBase],

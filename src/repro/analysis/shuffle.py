@@ -53,14 +53,6 @@ class ShuffleGains:
     bisection_gain: float
     exact_vs_paper: bool  # whether our construction matches Table 1
 
-    def as_row(self) -> tuple[str, float, float, float]:
-        return (
-            str(self.shape),
-            self.avg_latency_gain,
-            self.worst_latency_gain,
-            self.bisection_gain,
-        )
-
 
 def shuffle_gains(shape: TorusShape) -> ShuffleGains:
     """Compute the Table 1 metrics for one torus shape."""

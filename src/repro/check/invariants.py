@@ -124,7 +124,8 @@ class SystemChecker:
 
     def __init__(self, system: "SystemBase",
                  config: CheckConfig | None = None) -> None:
-        self.system = system
+        # Parts, not the system: a machine dies by refcount (SystemBase).
+        self.sim = system.sim
         self.config = config or CheckConfig()
         self.checks = 0
         self.violations: list[InvariantViolation] = []
@@ -141,9 +142,8 @@ class SystemChecker:
 
     # ------------------------------------------------------------------
     def _fail(self, family: str, message: str, **details: Any) -> None:
-        details.setdefault("time_ns", self.system.sim.now)
-        details.setdefault("events_processed",
-                           self.system.sim.events_processed)
+        details.setdefault("time_ns", self.sim.now)
+        details.setdefault("events_processed", self.sim.events_processed)
         violation = InvariantViolation(family, message, details)
         self.violations.append(violation)
         raise violation

@@ -463,6 +463,15 @@ class CoherenceAgent:
         if self._txn_spans is None:
             self._txn_spans = {}
 
+    def teardown(self) -> None:
+        """Cut the edges to open transactions, own handlers, Zboxes and
+        fabric (``SystemBase.__del__``)."""
+        if self.retry is not None:
+            # An armed timeout's event holds its transaction.
+            for txn in self._txns.values():
+                txn.timeout_event = None
+        self._txns = self._sched_ops = self.zbox_of = self.fabric = None
+
     def mean_latency_ns(self, op: str) -> float:
         n = self.completed.get(op, 0)
         if not n:

@@ -35,7 +35,10 @@ class FaultInjector:
                 "fault injection needs a fabric with mid-run link faults "
                 "(TorusFabric); switch fabrics are not supported"
             )
-        self.system = system
+        # Parts, not the system: a machine dies by refcount (SystemBase).
+        self.sim = system.sim
+        self.fabric = fabric
+        self.zboxes = system.zboxes
         self.schedule = schedule
         self.fired = 0
         self.skipped = 0
@@ -50,6 +53,7 @@ class FaultInjector:
         self._armed = False
         #: Event handles from arm(), cancelled on simulator reset.
         self._events: list = []
+        self._register_probes(system.registry)
 
     def arm(self) -> None:
         """Schedule every event.  Call once, before the clock advances
@@ -57,7 +61,7 @@ class FaultInjector:
         if self._armed:
             raise RuntimeError("fault injector already armed")
         self._armed = True
-        sim = self.system.sim
+        sim = self.sim
         self._events = [
             sim.schedule_at(ev.at_ns, self._fire, ev)
             for ev in self.schedule.events
@@ -67,7 +71,6 @@ class FaultInjector:
         # reused simulator cannot end up with a stale armed schedule
         # (and a re-arm() after reset() schedules a fresh one).
         sim.add_reset_hook(self._disarm)
-        self._register_probes()
 
     def _disarm(self) -> None:
         for event in self._events:
@@ -77,27 +80,27 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def _fire(self, ev: FaultEvent) -> None:
-        system = self.system
+        sim, fabric, zboxes = self.sim, self.fabric, self.zboxes
         kind = ev.kind
         detail = ""
         try:
             if kind == "fail_link":
-                dropped = system.fabric.fail_link(
+                dropped = fabric.fail_link(
                     ev.a, ev.b, drop_packets=ev.drop_packets
                 )
                 self.links_failed += 1
                 self.packets_dropped += dropped
                 detail = f"dropped {dropped} packets"
                 if ev.duration_ns > 0:
-                    system.sim.schedule(
+                    sim.schedule(
                         ev.duration_ns, self._fire,
                         replace(ev, kind="repair_link", duration_ns=0.0),
                     )
             elif kind == "repair_link":
-                system.fabric.repair_link(ev.a, ev.b)
+                fabric.repair_link(ev.a, ev.b)
                 self.links_repaired += 1
             elif kind == "stall_router":
-                routers = system.fabric.routers
+                routers = fabric.routers
                 if not 0 <= ev.a < len(routers):
                     raise ValueError(
                         f"stall_router: node {ev.a} out of range "
@@ -106,25 +109,25 @@ class FaultInjector:
                 routers[ev.a].stall(ev.duration_ns)
                 self.router_stalls += 1
             elif kind == "fail_channel":
-                if not 0 <= ev.a < len(system.zboxes):
+                if not 0 <= ev.a < len(zboxes):
                     raise ValueError(
                         f"fail_channel: node {ev.a} out of range "
-                        f"[0, {len(system.zboxes)})"
+                        f"[0, {len(zboxes)})"
                     )
-                detail = system.zboxes[ev.a].fail_channel(ev.b)
+                detail = zboxes[ev.a].fail_channel(ev.b)
                 self.channels_failed += 1
                 if ev.duration_ns > 0:
-                    system.sim.schedule(
+                    sim.schedule(
                         ev.duration_ns, self._fire,
                         replace(ev, kind="repair_channel", duration_ns=0.0),
                     )
             elif kind == "repair_channel":
-                if not 0 <= ev.a < len(system.zboxes):
+                if not 0 <= ev.a < len(zboxes):
                     raise ValueError(
                         f"repair_channel: node {ev.a} out of range "
-                        f"[0, {len(system.zboxes)})"
+                        f"[0, {len(zboxes)})"
                     )
-                system.zboxes[ev.a].repair_channel(ev.b)
+                zboxes[ev.a].repair_channel(ev.b)
                 self.channels_repaired += 1
             else:  # pragma: no cover - FaultEvent validates kinds
                 raise ValueError(f"unknown fault kind {kind!r}")
@@ -136,9 +139,9 @@ class FaultInjector:
         else:
             self.fired += 1
             outcome = f"ok: {detail}" if detail else "ok"
-        now = system.sim.now
+        now = sim.now
         self.log.append((now, kind, outcome))
-        tr = system.fabric._trace
+        tr = fabric._trace
         if tr is not None:
             tr.instant(
                 "fault." + kind, now, ev.a,
@@ -147,10 +150,7 @@ class FaultInjector:
             )
 
     # ------------------------------------------------------------------
-    def _register_probes(self) -> None:
-        reg = getattr(self.system, "registry", None)
-        if reg is None:
-            return
+    def _register_probes(self, reg) -> None:
         reg.probe("faults.fired", lambda: self.fired)
         reg.probe("faults.skipped", lambda: self.skipped)
         reg.probe("faults.links_failed", lambda: self.links_failed)

@@ -32,9 +32,6 @@ class RdramArray:
         self.hits = 0
         self.misses = 0
 
-    def page_of(self, address: int) -> int:
-        return address // self._page_bytes
-
     def access_latency_ns(self, address: int) -> float:
         """Latency of one access, updating page state."""
         page = address // self._page_bytes

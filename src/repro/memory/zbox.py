@@ -91,12 +91,6 @@ class Zbox:
         self.bytes_total = 0
         self.accesses_total = 0
 
-    # -- compatibility convenience ----------------------------------------
-    @property
-    def rdram(self) -> RdramArray:
-        """Controller 0's array (single-controller view for tests)."""
-        return self.rdrams[0]
-
     def controller_of(self, address: int) -> int:
         """Line-interleave: consecutive lines alternate controllers."""
         return (address // 64) % self.n_controllers

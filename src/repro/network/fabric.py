@@ -61,6 +61,12 @@ class FabricBase:
     def inject(self, packet: Packet) -> None:
         raise NotImplementedError
 
+    def teardown(self) -> None:
+        """Cut the edges to agents and links (``SystemBase.__del__``)."""
+        self._agents = None
+        for link in self.links():
+            link.teardown()
+
     def links(self) -> Iterable[Link]:
         raise NotImplementedError
 
@@ -188,6 +194,11 @@ class TorusFabric(FabricBase):
         super().attach_tracer(tracer)
         for router in self.routers:
             router._trace = tracer
+
+    def teardown(self) -> None:
+        super().teardown()
+        for router in self.routers:
+            router.teardown()
 
 
 class SwitchFabric(FabricBase):

@@ -312,6 +312,12 @@ class Link:
         if not self._busy and self._queued_count:
             self._start_next()
 
+    def teardown(self) -> None:
+        """Cut the edges to itself, the fabric and queued packets'
+        receivers (``SystemBase.__del__``)."""
+        self._wire_free_cb = self._on_drop = None
+        self._queues = self._qorder = None
+
     def _drop(self, packet: Packet) -> None:
         self.packets_dropped += 1
         on_drop = self._on_drop

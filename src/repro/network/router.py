@@ -122,6 +122,11 @@ class Router:
         self.out_links[link.dst] = link
         self._receivers[link.dst] = receiver
 
+    def teardown(self) -> None:
+        """Cut the edges to peers and fabric (``SystemBase.__del__``)."""
+        self.out_links = self._receivers = self._link_cache = None
+        self.deliver = self._inject_cb = None
+
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
         """A packet's head has arrived at this router (or, from

@@ -47,38 +47,17 @@ and only cost time.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import heapq
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro import fastpath
 
 __all__ = ["Event", "Simulator", "SimulationError"]
 
 _INF = float("inf")
-
-
-@contextlib.contextmanager
-def gc_paused() -> Iterator[None]:
-    """Hold off the cyclic garbage collector for the block and leave it
-    as the caller had it, however the block exits.
-
-    For blocks where a collection pass would free nothing worth its
-    cost, such as a traffic probe's whole machine life, whose dead
-    machine is then young garbage (docs/hotpath.md).
-    :meth:`Simulator.run` makes the same pause inline: under cProfile
-    this manager's ``__enter__``/``__exit__`` would count as handler
-    calls made from ``run`` (``tests/test_engine_gc.py``)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class SimulationError(RuntimeError):
@@ -116,11 +95,6 @@ class Event:
             self.cancelled = True
             if self._sim is not None:
                 self._sim._cancelled += 1
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -314,11 +288,10 @@ class Simulator:
         # exceeds +inf, so the tight loop pays one compare, not an
         # is-None test plus a compare.
         limit = _INF if until is None else until
-        # The pause of gc_paused(), written out: no handler makes
-        # reference cycles (docs/hotpath.md), so a collection pass here
-        # would free nothing.  perfbench/layers.py counts every Python
-        # call made from this method as an event, so the loop stays here
-        # and calls nothing but handlers; a ``with`` block would add its
+        # No handler makes reference cycles (docs/hotpath.md), so a
+        # collection pass here would free nothing.  perfbench/layers.py
+        # counts every Python call made from this method as an event,
+        # so the pause is builtin calls: a ``with`` block would add its
         # __enter__/__exit__ to the traced event count.
         gc_was_enabled = gc.isenabled()
         gc.disable()
@@ -488,7 +461,7 @@ class Simulator:
         }
 
     def add_reset_hook(self, hook: Callable[[], None]) -> None:
-        """Register a callable run by :meth:`reset` before state clears.
+        """Register a callable run by :meth:`teardown` before state clears.
 
         Components that arm long-lived references into this simulator
         (a :class:`~repro.faults.FaultInjector` schedule, an attached
@@ -497,20 +470,23 @@ class Simulator:
         """
         self._reset_hooks.append(hook)
 
-    def reset(self) -> None:
-        """Drop all pending events, rewind the clock to zero, and disarm
-        anything wired into this simulator: registered reset hooks run
-        first (a fault injector's schedule disarms here, so a reused
-        simulator cannot fire stale fault events), then the attached
-        invariant checker handle is dropped."""
-        if self._running:
-            raise SimulationError("cannot reset() while running")
+    def teardown(self) -> None:
+        """Run the reset hooks, then drop them, all pending events and
+        the checker handle; the clock and counters stay.  A dropped
+        system calls this (``SystemBase.__del__``)."""
         for hook in self._reset_hooks:
             hook()
         self._reset_hooks.clear()
         self._check = None
         self._queue.clear()
         self._immediate.clear()
+
+    def reset(self) -> None:
+        """:meth:`teardown`, then rewind the clock to zero, so a reused
+        simulator cannot fire stale events (fault schedules included)."""
+        if self._running:
+            raise SimulationError("cannot reset() while running")
+        self.teardown()
         self.now = 0.0
         self._seq = 0
         self._cancelled = 0

@@ -49,6 +49,20 @@ class SystemBase:
         self.registry = CounterRegistry()
         self._probes_registered = False
 
+    def __del__(self) -> None:
+        # The parts call one another, so the machine is a cycle; no part
+        # holds its system, so this is where the machine is known dead.
+        # Cut the cycles and every part dies by refcount (docs/hotpath.md).
+        # getattr, not __dict__: a constructor may have raised first.
+        sim = getattr(self, "sim", None)
+        if sim is None:
+            return
+        sim.teardown()
+        if self.fabric is not None:
+            self.fabric.teardown()
+        for agent in self.agents:
+            agent.teardown()
+
     @property
     def n_cpus(self) -> int:
         return self.config.n_cpus
@@ -186,9 +200,6 @@ class SystemBase:
     # -- counter helpers used by Xmesh and the experiments ----------------
     def zbox_of_cpu(self, cpu: int) -> Zbox:
         raise NotImplementedError
-
-    def total_memory_bytes_moved(self) -> int:
-        return sum(z.bytes_total for z in self.zboxes)
 
     def counters(self) -> dict:
         """One snapshot of every hardware counter in the machine --

@@ -35,7 +35,8 @@ class GS320System(SystemBase):
                 cpu,
                 cfg,
                 self.fabric,
-                zbox_of=lambda node, _c=cfg: self.zboxes[node // _c.cpus_per_qbb],
+                zbox_of=lambda node, _z=self.zboxes, _per=cfg.cpus_per_qbb:
+                    _z[node // _per],
                 address_map=NodeLocalMap(),
             )
             for cpu in range(cfg.n_cpus)

@@ -143,7 +143,7 @@ class SC45System(SystemBase):
                 cpu,
                 cfg.node,
                 self.fabric,
-                zbox_of=lambda node: self.zboxes[node // 4],
+                zbox_of=lambda node, _z=self.zboxes: _z[node // 4],
                 address_map=NodeLocalMap(),
             )
             for cpu in range(cfg.n_cpus)
@@ -153,6 +153,13 @@ class SC45System(SystemBase):
             cfg.quadrics_latency_ns,
         )
         self._telemetry_ready()
+
+    def __del__(self) -> None:
+        super().__del__()
+        quadrics = getattr(self, "quadrics", None)
+        if quadrics is not None:
+            for link in quadrics.links():
+                link.teardown()
 
     def box_of(self, cpu: int) -> int:
         return cpu // 4

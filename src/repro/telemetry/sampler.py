@@ -36,7 +36,9 @@ class IntervalSampler:
                  max_samples: int = 100_000) -> None:
         if interval_ns <= 0:
             raise ValueError("sampling interval must be positive")
-        self.system = system
+        # Parts, not the system: a machine dies by refcount (SystemBase).
+        self.sim = system.sim
+        self._zboxes = system.zboxes
         self.interval_ns = interval_ns
         self.max_samples = max_samples
         self.samples: list[dict] = []
@@ -56,7 +58,7 @@ class IntervalSampler:
         if self._running:
             return
         self._running = True
-        self._pending = self.system.sim.schedule(self.interval_ns, self._tick)
+        self._pending = self.sim.schedule(self.interval_ns, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -75,15 +77,14 @@ class IntervalSampler:
         # self-rescheduling tick would keep a drain-the-queue run() from
         # ever terminating.  (``sim.pending`` is batched per run() and
         # overcounts mid-run; ``has_pending_work`` is exact.)
-        if self.system.sim.has_pending_work():
-            self._pending = self.system.sim.schedule(self.interval_ns,
-                                                     self._tick)
+        if self.sim.has_pending_work():
+            self._pending = self.sim.schedule(self.interval_ns, self._tick)
         else:
             self._running = False
 
     # ------------------------------------------------------------------
     def _sample(self) -> dict:
-        sim = self.system.sim
+        sim = self.sim
         window = self.interval_ns
         sample: dict = {
             "time_ns": sim.now,
@@ -102,7 +103,7 @@ class IntervalSampler:
             sample["links.queued_packets"] = queued
             sample["links.mean_utilization"] = sum(utils) / len(utils)
             sample["links.max_utilization"] = max(utils)
-        zboxes = self.system.zboxes
+        zboxes = self._zboxes
         if zboxes:
             occupancies = []
             hits_delta = misses_delta = 0

@@ -183,7 +183,8 @@ class OpenLoopInjector:
             raise ValueError("need warmup_ns >= 0 and window_ns > 0")
         if max_outstanding < 1:
             raise ValueError("max_outstanding must be >= 1")
-        self.system = system
+        # Parts, not the system: a machine dies by refcount (SystemBase).
+        self.sim = system.sim
         self.mix = mix
         self.users = float(users)
         self.warmup_ns = float(warmup_ns)
@@ -219,7 +220,7 @@ class OpenLoopInjector:
                 ))
         self._started = False
         if system.telemetry.enabled:
-            self._register_probes()
+            self._register_probes(system.registry)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -227,16 +228,16 @@ class OpenLoopInjector:
         if self._started:
             raise RuntimeError("injector already started")
         self._started = True
-        sim = self.system.sim
+        sim = self.sim
         for source in self.sources:
             first = source.gen.next_ns()
             if first <= self.cutoff_ns:
                 sim.post(first - sim.now, self._arrival, source)
 
     def _arrival(self, source: _Source) -> None:
-        sim = self.system.sim
+        sim = self.sim
         now = sim.now
-        address, home = source.pick_target(self.system.n_cpus)
+        address, home = source.pick_target(len(self.issuers))
         source.injected_total += 1
         measured = self.warmup_ns <= now < self.cutoff_ns
         if measured:
@@ -255,10 +256,9 @@ class OpenLoopInjector:
         # keeps a drain-the-queue run() from terminating.
 
     # ------------------------------------------------------------------
-    def _register_probes(self) -> None:
+    def _register_probes(self, registry) -> None:
         """Per-class cumulative probes on the system registry
         (telemetry-on runs only; the off path must not grow keys)."""
-        registry = self.system.registry
         by_class: dict[str, list[_Source]] = {}
         for source in self.sources:
             by_class.setdefault(source.tenant.name, []).append(source)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.sim import RngFactory
-from repro.sim.engine import gc_paused
 from repro.systems.base import SystemBase
 from repro.traffic.histogram import LatencyHistogram
 from repro.traffic.injector import OpenLoopInjector
@@ -138,16 +137,7 @@ def run_traffic(
     determinism property tests.
     """
     if callable(system):
-        # This probe owns the machine from build to drop.  With the
-        # collector held off for all of it, the dead machine (a cycle)
-        # is still young when it dies, so one cheap young pass frees
-        # it; otherwise each probe's machine ages into the oldest
-        # generation and a capacity bisection leaves its machines for
-        # a long full pass in whatever code runs next (docs/hotpath.md).
-        with gc_paused():
-            return run_traffic(system(), mix, users, seed, warmup_ns,
-                               window_ns, drain_factor, max_outstanding,
-                               capture_schedule)
+        system = system()
     injector = OpenLoopInjector(
         system, mix, users, RngFactory(seed),
         warmup_ns=warmup_ns, window_ns=window_ns,

@@ -65,21 +65,6 @@ def grid_neighbors(rank: int, n_ranks: int) -> list[int]:
     return sorted(out)
 
 
-class _Barrier:
-    """Counts rank arrivals; releases everyone when all have arrived."""
-
-    def __init__(self, n_ranks: int, on_release: Callable[[], None]) -> None:
-        self.n_ranks = n_ranks
-        self.on_release = on_release
-        self._arrived = 0
-
-    def arrive(self) -> None:
-        self._arrived += 1
-        if self._arrived == self.n_ranks:
-            self._arrived = 0
-            self.on_release()
-
-
 class _BlockReads:
     """``blocks`` dependent block reads from ``addr`` upward on
     ``home``, then ``done()``.  Each read's completion issues the next
@@ -127,7 +112,7 @@ class PhasedRun:
         self._iter_started_at = 0.0
         self._phase_index = 0
         self._iteration = 0
-        self._barrier = _Barrier(system.n_cpus, self._advance)
+        self._arrived = 0  # ranks at the barrier
         self._done = False
 
     # ------------------------------------------------------------------
@@ -158,6 +143,12 @@ class PhasedRun:
         for rank in range(self.system.n_cpus):
             self._run_rank_phase(rank, phase)
 
+    def _arrive(self) -> None:
+        self._arrived += 1
+        if self._arrived == self.system.n_cpus:
+            self._arrived = 0
+            self._advance()
+
     def _advance(self) -> None:
         self._phase_index += 1
         if self._phase_index == len(self.phases):
@@ -177,25 +168,25 @@ class PhasedRun:
         sim = self.system.sim
         agent = self.system.agent(rank)
         if isinstance(phase, ComputePhase):
-            sim.schedule(phase.duration_ns, self._barrier.arrive)
+            sim.schedule(phase.duration_ns, self._arrive)
             return
         if isinstance(phase, MemoryPhase):
             blocks = max(1, phase.total_bytes // phase.block_bytes)
             _BlockReads(agent, rank, (rank + 1) << 24, blocks,
-                        phase.block_bytes, self._barrier.arrive).next()
+                        phase.block_bytes, self._arrive).next()
             return
         if isinstance(phase, ExchangePhase):
             neighbor_fn = phase.neighbors or grid_neighbors
             neighbors = neighbor_fn(rank, self.system.n_cpus)
             if not neighbors:
-                self._barrier.arrive()
+                self._arrive()
                 return
             state = {"pending": len(neighbors)}
 
             def one_done() -> None:
                 state["pending"] -= 1
                 if state["pending"] == 0:
-                    self._barrier.arrive()
+                    self._arrive()
 
             mpi_send = getattr(self.system, "mpi_send", None)
             if mpi_send is not None:

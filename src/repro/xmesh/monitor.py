@@ -67,12 +67,17 @@ class XmeshMonitor:
     def __init__(self, system: SystemBase, interval_ns: float = 2000.0) -> None:
         if interval_ns <= 0:
             raise ValueError("interval must be positive")
-        self.system = system
+        # Parts, not the system: a machine dies by refcount (SystemBase).
+        self.sim = system.sim
         self.interval_ns = interval_ns
         self.samples: list[XmeshSample] = []
+        self._zboxes = system.zboxes
         self._zbox_marks = [z.bytes_total for z in system.zboxes]
         fabric = system.fabric
         self._links = list(fabric.links()) if fabric is not None else []
+        self._n_nodes = fabric.n_nodes if fabric is not None else 0
+        self._shape = (getattr(system, "shape", None)
+                       if isinstance(fabric, TorusFabric) else None)
         self._link_marks = [l.busy_ns_total for l in self._links]
         self._running = False
         self._pending = None
@@ -83,7 +88,9 @@ class XmeshMonitor:
         if self._running:
             raise RuntimeError("monitor already started")
         self._running = True
-        self._pending = self.system.sim.schedule(self.interval_ns, self._tick)
+        self._pending = self.sim.schedule(self.interval_ns, self._tick)
+        # A reset or dropped machine stops its monitor (and its tick).
+        self.sim.add_reset_hook(self.stop)
 
     def stop(self) -> None:
         """Stop sampling; the collected samples stay available."""
@@ -95,28 +102,27 @@ class XmeshMonitor:
     def _tick(self) -> None:
         self.samples.append(self._snapshot())
         if self._running:
-            self._pending = self.system.sim.schedule(self.interval_ns,
-                                                     self._tick)
+            self._pending = self.sim.schedule(self.interval_ns, self._tick)
 
     def _snapshot(self) -> XmeshSample:
         window = self.interval_ns
         zbox = []
-        for i, z in enumerate(self.system.zboxes):
+        for i, z in enumerate(self._zboxes):
             zbox.append(z.utilization_since(self._zbox_marks[i], window))
             self._zbox_marks[i] = z.bytes_total
-        sample = XmeshSample(time_ns=self.system.sim.now, zbox=zbox)
+        sample = XmeshSample(time_ns=self.sim.now, zbox=zbox)
         if self._links:
             per_node: dict[int, list[float]] = {}
             per_dir: dict[str, list[float]] = {}
-            shape = getattr(self.system, "shape", None)
+            shape = self._shape
             for i, link in enumerate(self._links):
                 util = link.utilization_since(self._link_marks[i], window)
                 self._link_marks[i] = link.busy_ns_total
                 per_node.setdefault(link.src, []).append(util)
-                if shape is not None and isinstance(self.system.fabric, TorusFabric):
+                if shape is not None:
                     direction = _link_direction(shape, link.src, link.dst)
                     per_dir.setdefault(direction, []).append(util)
-            n_nodes = self.system.fabric.n_nodes
+            n_nodes = self._n_nodes
             sample.links_by_node = [
                 sum(per_node.get(n, [0.0])) / max(1, len(per_node.get(n, [0.0])))
                 for n in range(n_nodes)

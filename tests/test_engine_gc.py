@@ -1,4 +1,4 @@
-"""Simulator.run pauses the cyclic garbage collector.
+"""Machines die by refcount, and Simulator.run pauses the cyclic GC.
 
 The pause is licensed by a rule: handlers make no reference cycles, so
 a collection pass during a run would find nothing.  The model tests
@@ -6,23 +6,26 @@ below hold that rule on every kind of run the models support (closed
 loop, traffic, retry and faults, tracing, checking, phased application
 runs on a torus and on a cluster, IO7 DMA streams); the state tests
 hold that ``run`` leaves the collector as the caller had it and calls
-nothing but handlers.  A traffic probe extends the pause over its
-machine's whole life.
+nothing but handlers.  A dropped machine cuts its own cycles
+(``SystemBase.__del__``), so nothing of it waits for a collector pass.
 """
 
 import cProfile
 import gc
 import pstats
+import sys
 
 import pytest
 
 from repro import telemetry
+from repro.campaign.points import run_point
 from repro.check import checking
 from repro.coherence.retry import RetryPolicy
+from repro.config import TorusShape
 from repro.faults.spec import FaultEvent, FaultSchedule
 from repro.io import Io7Chip
 from repro.sim import RngFactory, SimulationError, Simulator
-from repro.systems import GS1280System, SC45System
+from repro.systems import ES45System, GS320System, GS1280System, SC45System
 from repro.traffic import default_mix
 from repro.traffic.injector import OpenLoopInjector
 from repro.traffic.runner import run_traffic
@@ -158,9 +161,96 @@ def _left_in_oldest_generation_after(system):
 
 
 def test_traffic_probe_machine_dies_young():
-    """``run_traffic`` given a factory holds the collector off from the
-    machine's build to its drop, so the dead machine is young garbage."""
+    """A traffic probe's machine dies by refcount when ``run_traffic``
+    returns, so none of it is left for a pass over the oldest
+    generation, even when collections promote it while it lives."""
     assert _left_in_oldest_generation_after(lambda: GS1280System(N_CPUS)) == 0
+
+
+# ----------------------------------------------------------------------
+# A dropped machine dies by refcount
+# ----------------------------------------------------------------------
+def _repro_names(objects):
+    return sorted({f"{type(o).__module__}.{type(o).__qualname__}"
+                   for o in objects if type(o).__module__.startswith("repro")})
+
+
+def _repro_left_by(go):
+    """``repro`` types that ``go()`` (build, run, drop a machine) leaves
+    alive with the collector off, and then as cyclic garbage.  A first
+    call fills the process-wide caches (route tables, seed states)."""
+    go()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        before = {id(o) for o in gc.get_objects()}
+        go()
+        alive = _repro_names(o for o in gc.get_objects()
+                             if id(o) not in before)
+        gc.collect()
+        return alive, _repro_names(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def _closed_loop_point(machine, n_cpus, **system_kwargs):
+    def go():
+        system = machine(n_cpus, **system_kwargs)
+        rngs = RngFactory(0)
+        pickers = [make_random_remote_picker(rngs, cpu, n_cpus)
+                   for cpu in range(n_cpus)]
+        result = run_closed_loop(system, pickers, outstanding=8,
+                                 warmup_ns=1000.0, window_ns=2000.0)
+        assert result.completed > 0
+    return go
+
+
+def _traffic_point():
+    result = run_point("traffic", {"system": "GS1280", "cpus": N_CPUS,
+                                   "users": 3000.0, "warmup_ns": 500.0,
+                                   "window_ns": 1500.0})
+    assert result["classes"]
+
+
+_FAULTS = FaultSchedule([
+    FaultEvent(at_ns=1500.0, kind="fail_link", a=0, b=1, duration_ns=500.0),
+    # Still armed when the run ends: the machine drops a pending fault.
+    FaultEvent(at_ns=1e9, kind="stall_router", a=3, duration_ns=200.0),
+])
+
+
+@pytest.mark.parametrize("go", [
+    _closed_loop_point(GS1280System, N_CPUS),
+    _closed_loop_point(GS320System, N_CPUS),
+    _closed_loop_point(ES45System, 4),
+    _traffic_point,
+    _closed_loop_point(GS1280System, N_CPUS, retry=RetryPolicy(),
+                       fault_schedule=_FAULTS),
+], ids=["gs1280-closed-loop", "gs320", "es45", "traffic-point",
+        "gs1280-retry-faults"])
+def test_dropped_machine_leaves_no_garbage(go):
+    """``SystemBase`` cuts its machine's cycles when its refcount
+    reaches zero, so every part (in-flight transactions, pending
+    events and armed timeouts and faults included) dies by refcount,
+    with no collector pass."""
+    assert _repro_left_by(go) == ([], [])
+
+
+def test_constructor_that_raises_reaches_no_unraisablehook(monkeypatch):
+    """A machine whose constructor raised is dropped half built (before
+    or after it made its simulator); its teardown must not fail."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with pytest.raises(ValueError, match="holds 8 CPUs"):
+        GS1280System(16, shape=TorusShape(4, 2))
+    with pytest.raises(ValueError):
+        GS1280System(16, failed_links=[(0, 5)])
+    with pytest.raises(ValueError, match="whole 4-CPU"):
+        SC45System(6)
+    gc.collect()
+    assert unraisable == []
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +305,7 @@ def test_run_restores_gc_when_a_handler_raises(enabled):
 def test_run_calls_nothing_but_handlers():
     """perfbench's traced run counts every Python call made from
     ``Simulator.run`` as an event, so the pause must be builtin calls
-    only: a ``with gc_paused():`` would add its ``__enter__`` and
+    only: a ``with`` block would add its ``__enter__`` and
     ``__exit__`` to the count."""
     sim = Simulator()
 
