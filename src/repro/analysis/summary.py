@@ -113,7 +113,7 @@ class SummaryModel:
     def ip_bandwidth_32p(self) -> float:
         if self.fast:
             # Stand-in for the simulated saturation ratio (the fabric
-            # simulation lands at ~8-10x; see bench_fig15/fig28).
+            # simulation lands at ~8-10x; see fig15 and fig28).
             return 9.0
         kw = dict(outstanding_values=(4, 12, 22, 30), window_ns=8000.0,
                   warmup_ns=3000.0, seed=self.seed)

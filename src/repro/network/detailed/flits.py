@@ -6,7 +6,7 @@ packet; this module is the cycle/flit-accurate *reference model* of the
 16-byte flits, each virtual channel owns a small flit buffer, and
 credits flow backwards hop by hop.  The reference model is far slower
 than the packet model, so it validates (rather than replaces) it -- see
-``tests/test_detailed_router.py`` and ``benchmarks/bench_ablation_router_models.py``.
+``tests/test_detailed_router.py``.
 """
 
 from __future__ import annotations

@@ -57,6 +57,7 @@ class SystemBase:
         sim = getattr(self, "sim", None)
         if sim is None:
             return
+        self.telemetry.release(self)
         sim.teardown()
         if self.fabric is not None:
             self.fabric.teardown()

@@ -12,9 +12,12 @@ Two implementations share the interface:
   while one is installed attach themselves: their components get the
   tracer, per-VC stall counters appear in their registries, and an
   :class:`~repro.telemetry.sampler.IntervalSampler` starts on their
-  simulator.  The session collects every attached system so one
-  ``counter_report()`` / ``export_trace()`` covers a whole experiment
-  no matter how many machines it built internally.
+  simulator.  The session keeps a record of every attached system so
+  one ``counter_report()`` / ``export_trace()`` covers a whole
+  experiment no matter how many machines it built internally.  The
+  record holds the machine's parts, not the machine, so a dropped
+  machine still dies by refcount: it hands the session its final
+  reading (:meth:`Telemetry.release`) before it cuts its cycles.
 
 Sessions install globally (:func:`install` / :func:`session`) rather
 than threading a parameter through every experiment signature: the
@@ -35,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.tracer import EventTracer
 
 __all__ = [
+    "AttachedMachine",
     "Telemetry",
     "TelemetrySession",
     "NULL_TELEMETRY",
@@ -55,6 +59,10 @@ class Telemetry:
     def attach(self, system: "SystemBase") -> None:
         """Called by every system at the end of construction."""
 
+    def release(self, system: "SystemBase") -> None:
+        """Called by every system when it is dropped, while its parts
+        can still be read."""
+
     def __bool__(self) -> bool:
         return self.enabled
 
@@ -64,6 +72,46 @@ class Telemetry:
 
 #: The shared no-op handle (one instance for the whole process).
 NULL_TELEMETRY = Telemetry()
+
+
+class AttachedMachine:
+    """What :meth:`TelemetrySession.counter_report` reads of one machine.
+
+    Holds the machine's simulator, registry and sampler, never the
+    machine itself; :meth:`freeze` takes the final reading and lets
+    them go, since a probe such as ``agent.outstanding()`` cannot be
+    read once the machine has cut its cycles.
+    """
+
+    __slots__ = ("label", "n_cpus", "sim", "registry", "sampler", "final")
+
+    def __init__(self, label: str, system: "SystemBase", sampler) -> None:
+        self.label = label
+        self.n_cpus = system.n_cpus
+        self.sim = system.sim
+        self.registry = system.registry
+        self.sampler = sampler
+        #: The reading taken when the machine was dropped (else None).
+        self.final: dict | None = None
+
+    def report(self) -> dict:
+        if self.final is not None:
+            return self.final
+        sampler = self.sampler
+        return {
+            "label": self.label,
+            "n_cpus": self.n_cpus,
+            "time_ns": self.sim.now,
+            "counters": self.registry.snapshot(),
+            "samples": list(sampler.samples) if sampler is not None else [],
+        }
+
+    def freeze(self) -> None:
+        self.final = self.report()
+        if self.sampler is not None:
+            # An armed tick and its sampler hold each other: a cycle.
+            self.sampler.stop()
+        self.sim = self.registry = self.sampler = None
 
 
 class TelemetrySession(Telemetry):
@@ -87,8 +135,10 @@ class TelemetrySession(Telemetry):
             self.tracer = EventTracer(trace_capacity)
         self.sample_interval_ns = sample_interval_ns
         self.sampling = sampling
-        #: (label, system, sampler) per machine built under this session.
-        self.attached: list[tuple[str, "SystemBase", object | None]] = []
+        #: One record per machine built under this session.
+        self.attached: list[AttachedMachine] = []
+        #: The records of machines not yet dropped, by ``id(system)``.
+        self._live: dict[int, AttachedMachine] = {}
 
     # ------------------------------------------------------------------
     def attach(self, system: "SystemBase") -> None:
@@ -101,24 +151,22 @@ class TelemetrySession(Telemetry):
         if self.sampling:
             sampler = IntervalSampler(system, self.sample_interval_ns)
             sampler.start()
-        self.attached.append((label, system, sampler))
+        machine = AttachedMachine(label, system, sampler)
+        self.attached.append(machine)
+        self._live[id(system)] = machine
+
+    def release(self, system: "SystemBase") -> None:
+        machine = self._live.pop(id(system), None)
+        if machine is not None:
+            machine.freeze()
 
     # ------------------------------------------------------------------
     def counter_report(self) -> dict:
         """Counters + samples for every attached system, plus the
         process-global registry (experiment-level counters)."""
-        systems = []
-        for label, system, sampler in self.attached:
-            systems.append({
-                "label": label,
-                "n_cpus": system.n_cpus,
-                "time_ns": system.sim.now,
-                "counters": system.registry.snapshot(),
-                "samples": list(sampler.samples) if sampler is not None else [],
-            })
         report: dict = {
             "global": global_registry().snapshot(),
-            "systems": systems,
+            "systems": [machine.report() for machine in self.attached],
         }
         if self.tracer is not None:
             report["trace"] = {
@@ -140,9 +188,9 @@ class TelemetrySession(Telemetry):
 
     def stop(self) -> None:
         """Stop all samplers (attached systems keep their data)."""
-        for _label, _system, sampler in self.attached:
-            if sampler is not None:
-                sampler.stop()
+        for machine in self._live.values():
+            if machine.sampler is not None:
+                machine.sampler.stop()
 
 
 # -- global installation ---------------------------------------------------

@@ -9,8 +9,9 @@ raises within a bounded number of events -- proving the checkers in
 :mod:`repro.check.invariants` aren't vacuous.
 
 Mutations live behind context managers rather than instance flags so
-the production hot paths carry **zero** mutation branches; nothing here
-is imported outside the test suite and the fuzz self-tests.
+the production hot paths carry **zero** mutation branches.  The module
+lives with the tests, its only users (the mutation tests and the fuzz
+self-tests), so nothing in ``repro`` can reach it.
 
 One mutation per invariant family:
 

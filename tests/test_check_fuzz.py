@@ -14,8 +14,8 @@ from repro.check.fuzz import (
     run_case,
     shrink,
 )
-from repro.check.mutations import ALL_MUTATIONS
 from repro.experiments.runner import main
+from tests.mutations import ALL_MUTATIONS
 
 
 class TestCaseGeneration:

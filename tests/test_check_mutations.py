@@ -3,7 +3,7 @@ be caught by its invariant family within one short workload.
 
 This is the proof that the checkers in :mod:`repro.check` aren't
 vacuous -- a checker that never fires is indistinguishable from no
-checker.  Each mutation in :data:`repro.check.mutations.ALL_MUTATIONS`
+checker.  Each mutation in :data:`tests.mutations.ALL_MUTATIONS`
 patches one model class with a known-bad variant; the machine is built
 *inside* the block (models prebind methods at construction), driven
 with the fuzz harness's own traffic generator, and the matching
@@ -17,7 +17,7 @@ import pytest
 
 from repro.check import InvariantViolation, checking
 from repro.check.fuzz import random_case, run_case
-from repro.check.mutations import ALL_MUTATIONS
+from tests.mutations import ALL_MUTATIONS
 
 #: A case every family's mutation trips on within its ~50 transactions.
 #: ``ordering`` needs congestion (two packets queued on one virtual

@@ -7,6 +7,7 @@ under tiny buffers and adversarial traffic so that any deadlock or
 credit leak surfaces.
 """
 
+import numpy as np
 import pytest
 
 from repro.config import TorusShape
@@ -48,6 +49,20 @@ class TestZeroLoad:
             network.run()
             lat[dst] = msg.latency_cycles
         assert lat[1] < lat[2] < lat[10]
+
+    def test_latency_linear_in_hops(self):
+        """Each extra hop adds the same few cycles, like the packet
+        model's per-hop constant (the flit-vs-packet ablation)."""
+        lat = []
+        for dst in (1, 2, 6, 10):  # 1..4 hops on the 4x4 torus
+            network = net()
+            msg = FlitMessage(0, dst, MessageClass.REQUEST)
+            network.inject(msg)
+            network.run()
+            lat.append(msg.latency_cycles)
+        increments = [b - a for a, b in zip(lat, lat[1:])]
+        assert all(i > 0 for i in increments)
+        assert max(increments) - min(increments) <= 2
 
     def test_multi_flit_message_stays_in_order(self):
         network = net()
@@ -155,6 +170,23 @@ class TestPriorityAndAdaptivity:
             return network.cycle
 
         assert drain_cycles(True) <= drain_cycles(False)
+
+    def test_adaptive_drains_uniform_burst_faster(self):
+        """A seeded burst of 200 uniform-random responses drains sooner
+        with adaptive routing than on the escape channel alone."""
+        def drain_cycles(adaptive):
+            rng = np.random.default_rng(0)
+            network = net(4, 4, buffer_flits=4, adaptive=adaptive)
+            for _ in range(200):
+                src, dst = rng.integers(0, 16, size=2)
+                while dst == src:
+                    dst = rng.integers(0, 16)
+                network.inject(FlitMessage(int(src), int(dst),
+                                           MessageClass.RESPONSE))
+            network.run(max_cycles=100_000)
+            return network.cycle
+
+        assert drain_cycles(True) < drain_cycles(False)
 
     def test_hop_counts_are_minimal(self):
         shape = TorusShape(4, 4)

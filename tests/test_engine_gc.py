@@ -238,6 +238,21 @@ def test_dropped_machine_leaves_no_garbage(go):
     assert _repro_left_by(go) == ([], [])
 
 
+def test_machine_dropped_under_telemetry_session_leaves_no_garbage():
+    """A session keeps a record of each machine's parts, not the
+    machine, so a dropped machine still dies by refcount; only the
+    record, frozen at the drop, stays with the session."""
+    with telemetry.session() as sess:
+        alive, garbage = _repro_left_by(
+            _closed_loop_point(GS1280System, N_CPUS))
+        report = sess.counter_report()
+    assert garbage == []
+    assert alive == ["repro.telemetry.session.AttachedMachine"]
+    assert [m.sim for m in sess.attached] == [None, None]
+    assert report["systems"][1]["counters"]["node0.agent.outstanding"] == 8
+    assert report["systems"][1]["samples"]
+
+
 def test_constructor_that_raises_reaches_no_unraisablehook(monkeypatch):
     """A machine whose constructor raised is dropped half built (before
     or after it made its simulator); its teardown must not fail."""

@@ -101,6 +101,10 @@ class TestSimulationExperiments:
     def test_fig18_shuffle_gains(self, experiments):
         result = experiments["fig18"]
         assert "torus" in {r[0] for r in result.rows}
+        best: dict[str, float] = {}
+        for cabling, _out, bw, _lat in result.rows:
+            best[cabling] = max(best.get(cabling, 0.0), bw)
+        assert best["shuffle"] > best["torus"]
 
     def test_fig20_low_utilization(self, experiments):
         result = experiments["fig20"]

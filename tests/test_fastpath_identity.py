@@ -4,11 +4,12 @@ invisible (docs/hotpath.md).
 Every observable -- model results, machine counters, the kernel's own
 event counters, mid-run probe samples -- must be byte-identical with
 the :mod:`repro.fastpath` toggle on and off, healthy and under a
-mid-run fault schedule.  The heavyweight system-level legs also run
-inside ``gs1280-repro oracle`` and the CI fastpath-identity lane; the directed engine/link tests here pin the
-specific coalescing mechanics (zero-delay bursts, the heap-only tight
-loop and its ``until`` push-back, express transmit, counter exactness
-mid-burst) at a granularity the system legs cannot localize.
+mid-run fault schedule.  The heavyweight system-level legs run inside
+``gs1280-repro oracle`` (tier-1's ``TestOracle``); the directed
+engine/link tests here pin the specific coalescing mechanics
+(zero-delay bursts, the heap-only tight loop and its ``until``
+push-back, express transmit, counter exactness mid-burst) at a
+granularity the system legs cannot localize.
 """
 
 import pytest

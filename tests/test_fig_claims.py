@@ -87,6 +87,16 @@ class TestFig08Fig09Claims:
         mean = sum(ratios) / len(ratios)
         assert 1.2 <= mean <= 2.2  # fp advantage without absurdity
 
+    def test_swim_advantage_over_gs320(self):
+        swim = next(r for r in run_experiment("fig08").rows
+                    if r[0] == "swim")
+        assert swim[1] / swim[3] > 3.2
+
+    def test_int_suite_near_parity_apart_from_mcf(self):
+        ratios = [r[1] / r[3] for r in run_experiment("fig09").rows
+                  if r[0] != "mcf"]
+        assert sum(ratios) / len(ratios) < 1.45
+
     def test_int_suite_much_flatter_than_fp(self):
         fp = run_experiment("fig08")
         integer = run_experiment("fig09")
@@ -107,6 +117,9 @@ class TestFig10Fig11Claims:
         integer = {r[0]: r[1] for r in run_experiment("fig11").rows}
         fp_leaders = sorted(fp.values())[-5:]
         assert max(integer.values()) < min(fp_leaders)
+
+    def test_int_utilization_all_low(self):
+        assert all(r[1] < 10 for r in run_experiment("fig11").rows)
 
 
 class TestTab01Claims:
@@ -134,6 +147,10 @@ class TestFig25Claims:
     def test_every_benchmark_degrades_or_holds(self):
         result = run_experiment("fig25")
         assert all(r[1] >= 0 for r in result.rows)
+
+    def test_bandwidth_bound_suffer_most(self):
+        values = {r[0]: r[1] for r in run_experiment("fig25").rows}
+        assert values["swim"] > values["sixtrack"]
 
     def test_degradation_correlates_with_utilization(self):
         fig25 = {r[0]: r[1] for r in run_experiment("fig25").rows}

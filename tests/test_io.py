@@ -76,3 +76,9 @@ class TestAggregateIoBandwidth:
             GS1280Config.build(16), 16
         ) / sustained_io_bandwidth_gbps(GS320Config.build(16), 16)
         assert simulated == pytest.approx(analytic, rel=0.30)
+
+    def test_gs1280_gap_at_16p(self):
+        """16 IO7 hoses against 4 risers (the paper's ~8x is at 32P)."""
+        gs1280 = run_io_streams(lambda: GS1280System(16), window_ns=8000.0)
+        gs320 = run_io_streams(lambda: GS320System(16), window_ns=8000.0)
+        assert 3.0 <= gs1280.bandwidth_gbps / gs320.bandwidth_gbps <= 6.0

@@ -278,7 +278,7 @@ class TestEnabledPath:
             system.agent(0).read(0, lambda t: None, home=2)
             system.run()  # drain-the-queue run must terminate
             _drive(system, until_ns=3000.0)
-            _label, _system, sampler = sess.attached[0]
+            sampler = sess.attached[0].sampler
             assert sampler.samples
             sample = sampler.samples[-1]
             assert "links.mean_utilization" in sample
@@ -369,15 +369,23 @@ class TestTraceExport:
         report agreeing with the legacy ``system.counters()`` view."""
         from repro.workloads.loadtest import run_load_test
 
+        systems = []
+
+        def build():
+            systems.append(GS1280System(8))
+            return systems[-1]
+
         with telemetry.session(sample_interval_ns=2000.0) as sess:
             curve = run_load_test(
-                lambda: GS1280System(8),
+                build,
                 outstanding_values=(4,),
                 warmup_ns=1000.0,
                 window_ns=3000.0,
             )
             assert curve.points[0].bandwidth_mbps > 0
-            _label, system, _sampler = sess.attached[0]
+            # The session keeps parts, not machines: hold the machine
+            # to read its legacy counters view.
+            system, = systems
             legacy = system.counters()
             snap = system.registry.snapshot()
             path = tmp_path / "fig15.trace.json"
